@@ -144,6 +144,67 @@ fn fused_attention_off_is_bit_identical_to_the_seed() {
     );
 }
 
+#[test]
+fn deadline_under_faults_report_matches_the_pre_lazy_pool_engine() {
+    // A downsized `paged_campaign` cell: 8-token KV blocks on a full-size
+    // HBM pool, recipe warmup, the planned activation reserve, a seeded
+    // rack-power campaign with restarts and KV checkpoints, a bounded
+    // queue and a TTFT deadline under overload. It pins the expiry pass
+    // and the block pool's handout order on the faulted event loop.
+    let mut model = habana_gaudi_study::models::LlmConfig::tiny(97);
+    model.training = false;
+    let seed = 42;
+    let mut cfg = ServingConfig::builder()
+        .model(model)
+        .traffic(TrafficConfig {
+            arrival_rate_per_s: 3_000.0,
+            num_requests: 2_000,
+            prompt_range: (8, 64),
+            output_range: (4, 16),
+            zipf_s: 1.1,
+            seed,
+        })
+        .max_batch(16)
+        .ctx_bucket(32)
+        .devices(8)
+        .kv_admission(KvAdmissionConfig::Paged { block_tokens: 8 })
+        .activation_budget(ActivationBudget::Planned)
+        .recipes(RecipeConfig {
+            compile_ms: 5.0,
+            batch_bucket: 4,
+        })
+        .robustness(
+            RobustnessConfig::unlimited()
+                .queue_depth(64)
+                .ttft_deadline(200.0)
+                .backoff(1.0, 0.5, seed)
+                .checkpoint(20.0, 64e9),
+        )
+        .record_trace(false)
+        .build();
+    let horizon_ms = habana_gaudi_study::serving::generate_requests(&cfg.traffic)
+        .iter()
+        .map(|r| r.arrival_ms())
+        .fold(0.0, f64::max);
+    let topo = Topology::cluster(&cfg.hw, 2, 4, 1.0);
+    cfg.faults = FaultCampaign::rack_power(4, (horizon_ms * 0.03, horizon_ms * 0.05))
+        .seeded(seed, &topo, horizon_ms)
+        .unwrap();
+    let r = simulate(&cfg).unwrap();
+    assert_eq!(r.completed.len() + r.dropped.len(), 2_000);
+    assert!(r.restarts > 0, "the campaign must kill and restart cards");
+    assert!(r.checkpoint_bytes > 0, "checkpoints must be taken");
+    assert!(
+        r.dropped.iter().any(|d| d.kind == DropKind::TimedOut),
+        "the TTFT deadline must expire queued requests"
+    );
+    assert_eq!(
+        digest(&r),
+        GOLDEN_DEADLINE_CAMPAIGN,
+        "deadline-under-faults report drifted"
+    );
+}
+
 // Captured from the PR-10 engine; see module docs. Regenerate only for an
 // *intentional* semantic change, never for a dispatch-plumbing refactor.
 // PR-10 moved every digest deliberately: `ServingReport` grew the
@@ -160,3 +221,7 @@ const GOLDEN_PAGED: u64 = 6546514325150282584;
 // re-captured in PR-10 for the report-struct growth above.
 const PRE_FUSION_SINGLE: u64 = 3821713689838433894;
 const PRE_FUSION_PAGED: u64 = 11244233705144614509;
+
+// Captured from the engine with the materialised block free list and the
+// rebuild-every-step expiry pass, before either was made lazy.
+const GOLDEN_DEADLINE_CAMPAIGN: u64 = 17755081122393497776;
