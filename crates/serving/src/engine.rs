@@ -431,6 +431,11 @@ struct Replica<'a> {
     waiting: VecDeque<Job>,
     /// Worst-case token footprint of the admission queue.
     waiting_tokens: usize,
+    /// Lower bound on the original arrival of every queued job (infinity
+    /// when the queue is empty). Retried orphans keep their original
+    /// arrival, so the queue is not sorted by it; the bound lets the
+    /// expiry pass skip the queue while nothing can have expired.
+    oldest_waiting_arrival_ms: f64,
     running: Vec<Active>,
     completed: Vec<RequestOutcome>,
     dropped: Vec<DroppedRequest>,
@@ -518,6 +523,7 @@ impl<'a> Replica<'a> {
             pending: VecDeque::new(),
             waiting: VecDeque::new(),
             waiting_tokens: 0,
+            oldest_waiting_arrival_ms: f64::INFINITY,
             running: Vec::new(),
             completed: Vec::new(),
             dropped: Vec::new(),
@@ -584,7 +590,7 @@ impl<'a> Replica<'a> {
     }
 
     /// File a terminal drop record for `job` and release its accounting.
-    fn drop_job(&mut self, job: Job, kind: DropKind, at_ms: f64, tokens_generated: usize) {
+    fn drop_job(&mut self, job: &Job, kind: DropKind, at_ms: f64, tokens_generated: usize) {
         self.outstanding_tokens = self
             .outstanding_tokens
             .saturating_sub(job.req.total_tokens());
@@ -631,10 +637,9 @@ impl<'a> Replica<'a> {
                     .is_some_and(|t| self.waiting_tokens + tokens > t);
             if full {
                 let at = self.clock_ms;
-                self.drop_job(job, DropKind::Rejected, at, 0);
+                self.drop_job(&job, DropKind::Rejected, at, 0);
             } else {
-                self.waiting_tokens += tokens;
-                self.waiting.push_back(job);
+                self.queue(job, false);
             }
         }
         self.max_queue_depth = self.max_queue_depth.max(self.waiting.len());
@@ -642,19 +647,50 @@ impl<'a> Replica<'a> {
 
         if rb.ttft_deadline_ms.is_some() || rb.deadline_ms.is_some() {
             let clock = self.clock_ms;
-            let mut keep = VecDeque::with_capacity(self.waiting.len());
-            for j in std::mem::take(&mut self.waiting) {
-                let waited = clock - j.req.arrival_ms();
-                let expired = rb.ttft_deadline_ms.is_some_and(|d| waited > d)
-                    || rb.deadline_ms.is_some_and(|d| waited > d);
-                if expired {
-                    self.waiting_tokens -= j.req.total_tokens();
-                    self.drop_job(j, DropKind::TimedOut, clock, 0);
-                } else {
-                    keep.push_back(j);
-                }
+            // `clock - arrival` is monotone in `arrival`, so if the oldest
+            // possible arrival has not expired, no queued job has.
+            let expired = |arrival_ms: f64| {
+                let waited = clock - arrival_ms;
+                rb.ttft_deadline_ms.is_some_and(|d| waited > d)
+                    || rb.deadline_ms.is_some_and(|d| waited > d)
+            };
+            if expired(self.oldest_waiting_arrival_ms) {
+                let mut waiting = std::mem::take(&mut self.waiting);
+                let mut oldest = f64::INFINITY;
+                waiting.retain(|j| {
+                    let arrival_ms = j.req.arrival_ms();
+                    if expired(arrival_ms) {
+                        self.waiting_tokens -= j.req.total_tokens();
+                        self.drop_job(j, DropKind::TimedOut, clock, 0);
+                        false
+                    } else {
+                        oldest = oldest.min(arrival_ms);
+                        true
+                    }
+                });
+                self.waiting = waiting;
+                self.oldest_waiting_arrival_ms = oldest;
+            } else {
+                debug_assert!(
+                    self.waiting
+                        .iter()
+                        .all(|j| j.req.arrival_ms() >= self.oldest_waiting_arrival_ms),
+                    "oldest-arrival bound above a queued job"
+                );
             }
-            self.waiting = keep;
+        }
+    }
+
+    /// Put `job` on the admission queue — at the back, or at the `front`
+    /// for a preempted runner — keeping the queued-token gauge and the
+    /// oldest-arrival bound in step.
+    fn queue(&mut self, job: Job, front: bool) {
+        self.waiting_tokens += job.req.total_tokens();
+        self.oldest_waiting_arrival_ms = self.oldest_waiting_arrival_ms.min(job.req.arrival_ms());
+        if front {
+            self.waiting.push_front(job);
+        } else {
+            self.waiting.push_back(job);
         }
     }
 
@@ -674,7 +710,7 @@ impl<'a> Replica<'a> {
         let latency = outcome.finish_ms - outcome.arrival_ms;
         if self.cfg.robustness.deadline_ms.is_some_and(|d| latency > d) {
             let at = outcome.finish_ms;
-            self.drop_job(job, DropKind::TimedOut, at, generated);
+            self.drop_job(&job, DropKind::TimedOut, at, generated);
         } else {
             self.outstanding_tokens = self
                 .outstanding_tokens
@@ -780,7 +816,7 @@ impl<'a> Replica<'a> {
                     {
                         self.kv.release(job.req.id)?;
                         let at = self.clock_ms;
-                        self.drop_job(job, DropKind::TimedOut, at, 0);
+                        self.drop_job(&job, DropKind::TimedOut, at, 0);
                         return Ok(true);
                     }
                     self.record("kv_restore", &c);
@@ -842,7 +878,7 @@ impl<'a> Replica<'a> {
                     {
                         self.kv.release(job.req.id)?;
                         let at = self.clock_ms;
-                        self.drop_job(job, DropKind::TimedOut, at, 0);
+                        self.drop_job(&job, DropKind::TimedOut, at, 0);
                         return Ok(true);
                     }
                     // First use of this prefill shape on this replica:
@@ -928,8 +964,7 @@ impl<'a> Replica<'a> {
                 let snap = self.snapshots.get(&victim.job.req.id).copied().unwrap_or(0);
                 victim.job.checkpointed_tokens = snap;
                 self.requeued_tokens += victim.generated.saturating_sub(snap);
-                self.waiting_tokens += victim.job.req.total_tokens();
-                self.waiting.push_front(victim.job);
+                self.queue(victim.job, true);
             }
             debug_assert!(
                 !self.running.is_empty(),
@@ -980,7 +1015,7 @@ impl<'a> Replica<'a> {
                         let a = self.running.swap_remove(i);
                         self.kv.release(a.job.req.id)?;
                         let at = self.clock_ms;
-                        self.drop_job(a.job, DropKind::TimedOut, at, a.generated);
+                        self.drop_job(&a.job, DropKind::TimedOut, at, a.generated);
                     } else {
                         i += 1;
                     }
@@ -1026,6 +1061,7 @@ impl<'a> Replica<'a> {
         orphans.extend(self.waiting.drain(..));
         orphans.extend(self.pending.drain(..));
         self.waiting_tokens = 0;
+        self.oldest_waiting_arrival_ms = f64::INFINITY;
         for j in &orphans {
             self.outstanding_tokens = self.outstanding_tokens.saturating_sub(j.req.total_tokens());
         }
@@ -1299,9 +1335,9 @@ pub fn simulate_trace_with(
     };
 
     // Reject outright only what can never fit; everything else queues.
-    let probe = cfg
+    let max_tokens = cfg
         .kv_admission
-        .build(
+        .max_admissible_tokens(
             &cfg.hw.memory,
             &cfg.model,
             cfg.max_request_tokens(),
@@ -1309,14 +1345,15 @@ pub fn simulate_trace_with(
             activation_reserve,
         )
         .map_err(ServingError::WeightsDontFit)?;
-    for r in &requests {
-        if r.total_tokens() as u64 > probe.max_admissible_tokens() {
-            return Err(ServingError::RequestTooLarge {
-                id: r.id,
-                tokens: r.total_tokens(),
-                max_tokens: probe.max_admissible_tokens(),
-            });
-        }
+    if let Some(r) = requests
+        .iter()
+        .find(|r| r.total_tokens() as u64 > max_tokens)
+    {
+        return Err(ServingError::RequestTooLarge {
+            id: r.id,
+            tokens: r.total_tokens(),
+            max_tokens,
+        });
     }
 
     let mut reports: Vec<ServingReport> = if cfg.faults.card_failures.is_empty() {
@@ -1630,6 +1667,66 @@ mod tests {
             cfg.opts.clone(),
             cfg.ctx_bucket,
         )
+    }
+
+    #[test]
+    fn expiry_skip_never_misses_an_expired_job() {
+        // The queue is not sorted by original arrival: a retried orphan
+        // keeps its old arrival behind younger fresh jobs, and a preempted
+        // runner re-enters at the front. At every clock the expiry pass
+        // must drop exactly what a plain full scan drops.
+        let mut cfg = tiny_config();
+        let deadline = 50.0;
+        cfg.robustness = RobustnessConfig::unlimited().ttft_deadline(deadline);
+        let mut r = Replica::new(&cfg, DeviceId(0), tiny_cost_model(&cfg), 0).unwrap();
+        let req = |id: u64, arrival_ms: u64| Request {
+            id,
+            arrival_us: arrival_ms * 1000,
+            prompt_len: 8 + id as usize,
+            output_len: 4,
+        };
+        r.enqueue(Job::fresh(req(1, 30)));
+        // The orphan arrived at 5 ms and was re-submitted at 35 ms.
+        r.enqueue(Job::fresh(req(2, 5)).requeued(35.0));
+        r.enqueue(Job::fresh(req(3, 40)));
+        r.clock_ms = 45.0;
+        r.housekeep();
+        assert_eq!(r.waiting.len(), 3, "nothing has expired at 45 ms");
+        // A preempted runner, older than every queued job, re-enters at
+        // the front.
+        r.queue(Job::fresh(req(4, 3)), true);
+
+        let mut drops = Vec::new();
+        for clock in 45..=100 {
+            r.clock_ms = clock as f64;
+            let (expired, kept): (Vec<&Job>, Vec<&Job>) = r
+                .waiting
+                .iter()
+                .partition(|j| r.clock_ms - j.req.arrival_ms() > deadline);
+            let want_dropped: Vec<u64> = expired.iter().map(|j| j.req.id).collect();
+            let want_kept: Vec<u64> = kept.iter().map(|j| j.req.id).collect();
+            let want_tokens: usize = kept.iter().map(|j| j.req.total_tokens()).sum();
+            let before = r.dropped.len();
+            r.housekeep();
+            let dropped: Vec<u64> = r.dropped[before..].iter().map(|d| d.id).collect();
+            let kept: Vec<u64> = r.waiting.iter().map(|j| j.req.id).collect();
+            assert_eq!(dropped, want_dropped, "drop set at {clock} ms");
+            assert_eq!(kept, want_kept, "queue at {clock} ms");
+            assert_eq!(
+                r.waiting_tokens, want_tokens,
+                "waiting_tokens at {clock} ms"
+            );
+            assert!(r
+                .waiting
+                .iter()
+                .all(|j| j.req.arrival_ms() >= r.oldest_waiting_arrival_ms));
+            drops.extend(dropped);
+        }
+        // After the runner, the orphan expires while the job at the front
+        // of the queue is still younger than the deadline.
+        assert_eq!(drops, [4, 2, 1, 3]);
+        assert!(r.dropped.iter().all(|d| d.kind == DropKind::TimedOut));
+        assert_eq!(r.oldest_waiting_arrival_ms, f64::INFINITY);
     }
 
     #[test]

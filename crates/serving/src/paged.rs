@@ -21,58 +21,99 @@ use std::collections::HashMap;
 
 /// Fixed-size block allocator over the KV region of one device.
 ///
-/// Blocks are identified by dense indices `0..capacity`. The free list is
-/// LIFO, so allocation order is deterministic: a fresh pool hands out
-/// `0, 1, 2, …` and re-uses the most recently freed block first (warm
-/// blocks, like a real allocator chasing cache locality).
+/// Blocks are identified by dense indices `0..capacity`. Allocation order
+/// is deterministic and LIFO: a fresh pool hands out `0, 1, 2, …` and
+/// re-uses the most recently freed block first (warm blocks, like a real
+/// allocator chasing cache locality).
+///
+/// The pool is lazy, so construction is O(1) whatever the capacity. Blocks
+/// at or above the bump pointer `next` have never been handed out; blocks
+/// below it are either live or on the `returned` stack. `alloc` pops the
+/// stack first and bumps `next` only when the stack is empty. That is
+/// exactly the order of a materialised free list initialised to
+/// `[capacity-1, …, 1, 0]`: such a list always equals
+/// `[capacity-1, …, next]` followed by `returned`.
 ///
 /// Invariant (checked by the conservation property test):
 /// `free_blocks() + allocated_blocks() == capacity_blocks()` at all times.
 #[derive(Debug, Clone)]
 pub struct BlockPool {
-    /// Free block indices; `pop` yields the next allocation.
-    free: Vec<u32>,
+    /// Freed block indices; `pop` yields the next re-use.
+    returned: Vec<u32>,
+    /// Lowest block index never handed out.
+    next: u32,
     capacity: u32,
+    /// Debug-only: whether each block below `next` is on `returned`, for
+    /// the O(1) double-free check.
+    #[cfg(debug_assertions)]
+    freed: Vec<bool>,
 }
 
 impl BlockPool {
     /// Pool over `capacity_blocks` blocks, all initially free.
     pub fn new(capacity_blocks: u32) -> Self {
-        // Reverse order so LIFO pop hands out 0, 1, 2, … on a fresh pool.
         BlockPool {
-            free: (0..capacity_blocks).rev().collect(),
+            returned: Vec::new(),
+            next: 0,
             capacity: capacity_blocks,
+            #[cfg(debug_assertions)]
+            freed: Vec::new(),
         }
     }
 
     /// Take one block, or `None` when the pool is dry.
     pub fn alloc(&mut self) -> Option<u32> {
-        self.free.pop()
+        if let Some(b) = self.returned.pop() {
+            #[cfg(debug_assertions)]
+            {
+                self.freed[b as usize] = false;
+            }
+            return Some(b);
+        }
+        (self.next < self.capacity).then(|| {
+            #[cfg(debug_assertions)]
+            self.freed.push(false);
+            self.next += 1;
+            self.next - 1
+        })
     }
 
     /// Return a block to the pool. The caller owns the handed-out index;
-    /// returning a foreign or doubly-freed index is a logic error (checked
-    /// in debug builds).
+    /// returning a never-handed-out or doubly-freed index is a logic error
+    /// (checked in debug builds).
     pub fn dealloc(&mut self, block: u32) {
-        debug_assert!(block < self.capacity, "freed block {block} out of range");
-        debug_assert!(!self.free.contains(&block), "double free of block {block}");
-        self.free.push(block);
+        debug_assert!(
+            block < self.next,
+            "freed block {block} was never handed out"
+        );
+        #[cfg(debug_assertions)]
+        {
+            assert!(!self.freed[block as usize], "double free of block {block}");
+            self.freed[block as usize] = true;
+        }
+        self.returned.push(block);
     }
 
     /// Blocks currently free.
     pub fn free_blocks(&self) -> usize {
-        self.free.len()
+        (self.capacity - self.next) as usize + self.returned.len()
     }
 
     /// Blocks currently handed out.
     pub fn allocated_blocks(&self) -> usize {
-        self.capacity as usize - self.free.len()
+        self.next as usize - self.returned.len()
     }
 
     /// Total blocks in the pool.
     pub fn capacity_blocks(&self) -> usize {
         self.capacity as usize
     }
+}
+
+/// Whole `block_bytes` blocks that fit in `kv_bytes`, capped at the `u32`
+/// block-index space.
+pub(crate) fn capacity_blocks(kv_bytes: u64, block_bytes: u64) -> u32 {
+    (kv_bytes / block_bytes).min(u32::MAX as u64) as u32
 }
 
 /// One request's block chain: the ordered blocks backing its context plus
@@ -120,9 +161,8 @@ impl PagedKv {
             return Err(OutOfMemory::new(weight_bytes, capacity_bytes));
         }
         let block_bytes = block_tokens as u64 * bytes_per_token;
-        let capacity_blocks = ((capacity_bytes - weight_bytes) / block_bytes).min(u32::MAX as u64);
         Ok(PagedKv {
-            pool: BlockPool::new(capacity_blocks as u32),
+            pool: BlockPool::new(capacity_blocks(capacity_bytes - weight_bytes, block_bytes)),
             chains: HashMap::new(),
             block_tokens,
             block_bytes,
@@ -275,6 +315,96 @@ impl KvAdmission for PagedKv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference pool: a materialised LIFO free list holding every index
+    /// up front, with a linear double-free scan. The oracle the lazy
+    /// pool's handout order is checked against.
+    struct FreeListPool {
+        free: Vec<u32>,
+        capacity: u32,
+    }
+
+    impl FreeListPool {
+        fn new(capacity_blocks: u32) -> Self {
+            FreeListPool {
+                free: (0..capacity_blocks).rev().collect(),
+                capacity: capacity_blocks,
+            }
+        }
+
+        fn alloc(&mut self) -> Option<u32> {
+            self.free.pop()
+        }
+
+        fn dealloc(&mut self, block: u32) {
+            assert!(block < self.capacity, "freed block {block} out of range");
+            assert!(!self.free.contains(&block), "double free of block {block}");
+            self.free.push(block);
+        }
+
+        fn free_blocks(&self) -> usize {
+            self.free.len()
+        }
+
+        fn allocated_blocks(&self) -> usize {
+            self.capacity as usize - self.free.len()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The lazy pool hands out exactly the blocks the materialised
+        /// free list would, in the same order, with the same counts after
+        /// every operation — including on a dry pool.
+        #[test]
+        fn lazy_pool_matches_the_materialised_free_list(
+            capacity in 0u32..48,
+            ops in proptest::collection::vec((any::<bool>(), 0usize..1_000), 0..300),
+        ) {
+            let mut lazy = BlockPool::new(capacity);
+            let mut oracle = FreeListPool::new(capacity);
+            let mut held: Vec<u32> = Vec::new();
+            for (take, pick) in ops {
+                if take || held.is_empty() {
+                    let got = lazy.alloc();
+                    prop_assert_eq!(got, oracle.alloc());
+                    held.extend(got);
+                } else {
+                    let b = held.swap_remove(pick % held.len());
+                    lazy.dealloc(b);
+                    oracle.dealloc(b);
+                }
+                prop_assert_eq!(lazy.free_blocks(), oracle.free_blocks());
+                prop_assert_eq!(lazy.allocated_blocks(), oracle.allocated_blocks());
+                prop_assert_eq!(lazy.free_blocks() + lazy.allocated_blocks(), capacity as usize);
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "double free of block 1")]
+    fn pool_catches_a_double_free() {
+        let mut p = BlockPool::new(4);
+        p.alloc();
+        let b = p.alloc().unwrap();
+        p.dealloc(b);
+        p.dealloc(b);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "freed block 2 was never handed out")]
+    fn pool_catches_a_free_at_the_high_water_mark() {
+        // Block 2 is in range but was never handed out: freeing it would
+        // hand it out twice.
+        let mut p = BlockPool::new(4);
+        p.alloc();
+        p.alloc();
+        p.dealloc(2);
+    }
 
     fn mem(cap: u64) -> MemoryConfig {
         MemoryConfig {
