@@ -1335,9 +1335,9 @@ pub fn simulate_trace_with(
     };
 
     // Reject outright only what can never fit; everything else queues.
-    let max_tokens = cfg
+    let probe = cfg
         .kv_admission
-        .max_admissible_tokens(
+        .build(
             &cfg.hw.memory,
             &cfg.model,
             cfg.max_request_tokens(),
@@ -1345,15 +1345,14 @@ pub fn simulate_trace_with(
             activation_reserve,
         )
         .map_err(ServingError::WeightsDontFit)?;
-    if let Some(r) = requests
-        .iter()
-        .find(|r| r.total_tokens() as u64 > max_tokens)
-    {
-        return Err(ServingError::RequestTooLarge {
-            id: r.id,
-            tokens: r.total_tokens(),
-            max_tokens,
-        });
+    for r in &requests {
+        if r.total_tokens() as u64 > probe.max_admissible_tokens() {
+            return Err(ServingError::RequestTooLarge {
+                id: r.id,
+                tokens: r.total_tokens(),
+                max_tokens: probe.max_admissible_tokens(),
+            });
+        }
     }
 
     let mut reports: Vec<ServingReport> = if cfg.faults.card_failures.is_empty() {

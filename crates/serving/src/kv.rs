@@ -133,7 +133,7 @@ impl KvAdmissionConfig {
         dtype: DType,
         activation_bytes: u64,
     ) -> Result<Box<dyn KvAdmission>, OutOfMemory> {
-        let resident = self.resident_bytes(model, max_positions, dtype, activation_bytes);
+        let resident = self.weight_bytes(model, max_positions, dtype) + activation_bytes;
         let per_token = self.kv_bytes_per_token(model, dtype);
         match *self {
             KvAdmissionConfig::Contiguous => Ok(Box::new(ContiguousKv::new(KvAccountant::new(
@@ -146,44 +146,6 @@ impl KvAdmissionConfig {
                 block_tokens,
             )?)),
         }
-    }
-
-    /// The [`max_admissible_tokens`](KvAdmission::max_admissible_tokens) of
-    /// the state [`build`](Self::build) would return for the same
-    /// arguments, without building it. Fails exactly when `build` does.
-    pub(crate) fn max_admissible_tokens(
-        &self,
-        mem: &MemoryConfig,
-        model: &LlmConfig,
-        max_positions: usize,
-        dtype: DType,
-        activation_bytes: u64,
-    ) -> Result<u64, OutOfMemory> {
-        let resident = self.resident_bytes(model, max_positions, dtype, activation_bytes);
-        let capacity = mem.hbm_capacity_bytes;
-        let kv_bytes = capacity
-            .checked_sub(resident)
-            .ok_or_else(|| OutOfMemory::new(resident, capacity))?;
-        let per_token = self.kv_bytes_per_token(model, dtype);
-        Ok(match *self {
-            KvAdmissionConfig::Contiguous => kv_bytes / per_token,
-            KvAdmissionConfig::Paged { block_tokens } => {
-                let block_bytes = block_tokens as u64 * per_token;
-                crate::paged::capacity_blocks(kv_bytes, block_bytes) as u64 * block_tokens as u64
-            }
-        })
-    }
-
-    /// Bytes resident before any KV: the weights plus `activation_bytes`
-    /// of planned phase workspace.
-    fn resident_bytes(
-        &self,
-        model: &LlmConfig,
-        max_positions: usize,
-        dtype: DType,
-        activation_bytes: u64,
-    ) -> u64 {
-        self.weight_bytes(model, max_positions, dtype) + activation_bytes
     }
 }
 
@@ -515,42 +477,6 @@ mod tests {
     #[test]
     fn weights_that_overflow_fail_construction() {
         assert!(KvAccountant::new(&mem(1 << 20), 2 << 20, 1).is_err());
-    }
-
-    #[test]
-    fn admissible_bound_matches_the_built_state() {
-        // The bound `simulate` rejects oversized requests with is derived
-        // without building a replica's admission state; it must agree with
-        // that state, error included, for every strategy and footprint.
-        let m = LlmConfig::paper_section_3_4(50257);
-        let weights = KvAdmissionConfig::Contiguous.weight_bytes(&m, 1024, DType::F32);
-        for strategy in [
-            KvAdmissionConfig::Contiguous,
-            KvAdmissionConfig::Paged { block_tokens: 1 },
-            KvAdmissionConfig::Paged { block_tokens: 8 },
-            KvAdmissionConfig::paged(),
-        ] {
-            for hbm in [
-                weights / 2,
-                weights,
-                weights + 8191,
-                weights + 100_000,
-                32 << 30,
-            ] {
-                for activation in [0, 4096, 1 << 20] {
-                    let mem = mem(hbm);
-                    let built = strategy
-                        .build(&mem, &m, 1024, DType::F32, activation)
-                        .map(|kv| kv.max_admissible_tokens());
-                    let derived =
-                        strategy.max_admissible_tokens(&mem, &m, 1024, DType::F32, activation);
-                    assert_eq!(
-                        derived, built,
-                        "{strategy:?} at {hbm} B HBM, {activation} B activations"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

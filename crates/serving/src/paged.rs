@@ -110,12 +110,6 @@ impl BlockPool {
     }
 }
 
-/// Whole `block_bytes` blocks that fit in `kv_bytes`, capped at the `u32`
-/// block-index space.
-pub(crate) fn capacity_blocks(kv_bytes: u64, block_bytes: u64) -> u32 {
-    (kv_bytes / block_bytes).min(u32::MAX as u64) as u32
-}
-
 /// One request's block chain: the ordered blocks backing its context plus
 /// the live token count (which the last block only partially fills).
 #[derive(Debug, Clone)]
@@ -161,8 +155,9 @@ impl PagedKv {
             return Err(OutOfMemory::new(weight_bytes, capacity_bytes));
         }
         let block_bytes = block_tokens as u64 * bytes_per_token;
+        let capacity_blocks = ((capacity_bytes - weight_bytes) / block_bytes).min(u32::MAX as u64);
         Ok(PagedKv {
-            pool: BlockPool::new(capacity_blocks(capacity_bytes - weight_bytes, block_bytes)),
+            pool: BlockPool::new(capacity_blocks as u32),
             chains: HashMap::new(),
             block_tokens,
             block_bytes,
