@@ -7,25 +7,74 @@
 //! restart, and paged admission with recipe warmup. The refactored engine
 //! must reproduce every report **bit-for-bit** — same floats, same order,
 //! same trace — so these hashes are frozen and CI runs them on every push.
+//!
+//! Every pinned report carries two digests. The full digest covers the
+//! whole `Debug` rendering, so it also moves when a report field is added
+//! or a merge sums its floats in a different order. The schedule digest
+//! covers only when each request arrived, got its first token and
+//! finished, and how it ended; it moves only when the simulated schedule
+//! does.
 
 use habana_gaudi_study::prelude::*;
 use habana_gaudi_study::serving::simulate;
 
-/// FNV-1a over the full `Debug` rendering of a report: every field, every
-/// per-request outcome, every trace event, bit-for-bit. Rust's float
-/// `Debug` formatting is exact (shortest round-trip), so two reports hash
-/// equal iff they are numerically identical.
-fn fnv1a(s: &str) -> u64 {
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
+    for b in bytes {
+        h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
 
+/// FNV-1a over the full `Debug` rendering of a report: every field, every
+/// per-request outcome, every trace event, bit-for-bit. Rust's float
+/// `Debug` formatting is exact (shortest round-trip), so two reports hash
+/// equal iff they are numerically identical.
 fn digest(r: &ServingReport) -> u64 {
-    fnv1a(&format!("{r:?}"))
+    fnv1a(format!("{r:?}").into_bytes())
+}
+
+/// FNV-1a over the simulated schedule: one `(id, arrival bits, first-token
+/// bits, finish bits, outcome kind)` row per request, in id order. A
+/// dropped request has no first token (`u64::MAX`) and finishes at its
+/// drop time. These are the rows of simbench's `sim_schedule_digest`.
+fn schedule_digest(r: &ServingReport) -> u64 {
+    let mut rows: Vec<[u64; 5]> = r
+        .completed
+        .iter()
+        .map(|o| {
+            [
+                o.id,
+                o.arrival_ms.to_bits(),
+                (o.arrival_ms + o.ttft_ms).to_bits(),
+                o.finish_ms.to_bits(),
+                0,
+            ]
+        })
+        .chain(r.dropped.iter().map(|d| {
+            let kind = match d.kind {
+                DropKind::Rejected => 1,
+                DropKind::TimedOut => 2,
+                DropKind::Failed => 3,
+            };
+            [
+                d.id,
+                d.arrival_ms.to_bits(),
+                u64::MAX,
+                d.at_ms.to_bits(),
+                kind,
+            ]
+        }))
+        .collect();
+    rows.sort_unstable_by_key(|row| row[0]);
+    fnv1a(rows.iter().flatten().flat_map(|w| w.to_le_bytes()))
+}
+
+/// Assert both pins of one report: its schedule, then its full rendering.
+fn assert_golden(r: &ServingReport, schedule: u64, full: u64, what: &str) {
+    assert_eq!(schedule_digest(r), schedule, "{what}: schedule drifted");
+    assert_eq!(digest(r), full, "{what}: report drifted");
 }
 
 fn base_config(devices: usize) -> ServingConfig {
@@ -51,10 +100,11 @@ fn base_config(devices: usize) -> ServingConfig {
 fn single_box_fault_free_report_matches_the_pre_refactor_engine() {
     let r = simulate(&base_config(1)).unwrap();
     assert_eq!(r.completed.len(), 40);
-    assert_eq!(
-        digest(&r),
+    assert_golden(
+        &r,
+        SCHEDULE_SINGLE,
         GOLDEN_SINGLE,
-        "fault-free single-card report drifted"
+        "fault-free single-card report",
     );
 }
 
@@ -62,10 +112,11 @@ fn single_box_fault_free_report_matches_the_pre_refactor_engine() {
 fn multi_replica_report_matches_the_pre_refactor_engine() {
     let r = simulate(&base_config(4)).unwrap();
     assert_eq!(r.completed.len(), 40);
-    assert_eq!(
-        digest(&r),
+    assert_golden(
+        &r,
+        SCHEDULE_REPLICAS,
         GOLDEN_REPLICAS,
-        "4-replica merged report drifted"
+        "4-replica merged report",
     );
 }
 
@@ -79,10 +130,11 @@ fn faulted_restart_report_matches_the_pre_refactor_engine() {
         .backoff(2.0, 0.5, 5);
     let r = simulate(&cfg).unwrap();
     assert_eq!(r.restarts, 1);
-    assert_eq!(
-        digest(&r),
+    assert_golden(
+        &r,
+        SCHEDULE_RESTART,
         GOLDEN_RESTART,
-        "faulted event-loop report drifted"
+        "faulted event-loop report",
     );
 }
 
@@ -96,7 +148,7 @@ fn paged_warmup_report_matches_the_pre_refactor_engine() {
     };
     let r = simulate(&cfg).unwrap();
     assert_eq!(r.completed.len(), 40);
-    assert_eq!(digest(&r), GOLDEN_PAGED, "paged+warmup report drifted");
+    assert_golden(&r, SCHEDULE_PAGED, GOLDEN_PAGED, "paged+warmup report");
 }
 
 #[test]
@@ -107,10 +159,11 @@ fn activation_budget_off_is_bit_identical_to_the_seed() {
     let mut cfg = base_config(1);
     cfg.activation_budget = ActivationBudget::Off;
     let r = simulate(&cfg).unwrap();
-    assert_eq!(
-        digest(&r),
+    assert_golden(
+        &r,
+        SCHEDULE_SINGLE,
         GOLDEN_SINGLE,
-        "ActivationBudget::Off must not perturb the seed report"
+        "ActivationBudget::Off must not perturb the seed report",
     );
 }
 
@@ -124,10 +177,11 @@ fn fused_attention_off_is_bit_identical_to_the_seed() {
 
     let mut cfg = base_config(1);
     cfg.opts = off.clone();
-    assert_eq!(
-        digest(&simulate(&cfg).unwrap()),
+    assert_golden(
+        &simulate(&cfg).unwrap(),
+        PRE_FUSION_SCHEDULE_SINGLE,
         PRE_FUSION_SINGLE,
-        "fused-off single-card report drifted from the PR-8 engine"
+        "fused-off single-card report vs the PR-8 engine",
     );
 
     let mut cfg = base_config(2);
@@ -137,10 +191,11 @@ fn fused_attention_off_is_bit_identical_to_the_seed() {
         compile_ms: 4.0,
         batch_bucket: 2,
     };
-    assert_eq!(
-        digest(&simulate(&cfg).unwrap()),
+    assert_golden(
+        &simulate(&cfg).unwrap(),
+        PRE_FUSION_SCHEDULE_PAGED,
         PRE_FUSION_PAGED,
-        "fused-off paged+warmup report drifted from the PR-8 engine"
+        "fused-off paged+warmup report vs the PR-8 engine",
     );
 }
 
@@ -198,10 +253,11 @@ fn deadline_under_faults_report_matches_the_pre_lazy_pool_engine() {
         r.dropped.iter().any(|d| d.kind == DropKind::TimedOut),
         "the TTFT deadline must expire queued requests"
     );
-    assert_eq!(
-        digest(&r),
+    assert_golden(
+        &r,
+        SCHEDULE_DEADLINE_CAMPAIGN,
         GOLDEN_DEADLINE_CAMPAIGN,
-        "deadline-under-faults report drifted"
+        "deadline-under-faults report",
     );
 }
 
@@ -225,3 +281,14 @@ const PRE_FUSION_PAGED: u64 = 11244233705144614509;
 // Captured from the engine with the materialised block free list and the
 // rebuild-every-step expiry pass, before either was made lazy.
 const GOLDEN_DEADLINE_CAMPAIGN: u64 = 17755081122393497776;
+
+// Schedule digests, captured on the same engine as the full digests
+// above; they stay put when only the report layout or a merge's float
+// order changes.
+const SCHEDULE_SINGLE: u64 = 8839933083389214669;
+const SCHEDULE_REPLICAS: u64 = 4748048108585979525;
+const SCHEDULE_RESTART: u64 = 7551309795145661085;
+const SCHEDULE_PAGED: u64 = 7237318799764745763;
+const PRE_FUSION_SCHEDULE_SINGLE: u64 = 17100309050486298666;
+const PRE_FUSION_SCHEDULE_PAGED: u64 = 6245914303855116261;
+const SCHEDULE_DEADLINE_CAMPAIGN: u64 = 730927114982223801;
