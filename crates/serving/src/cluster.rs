@@ -5,9 +5,10 @@
 //! scales the same machinery to a datacenter row: a front-end router
 //! splits the stream over `boxes` independent boxes of `cards_per_box`
 //! cards each, every box runs the full continuous-batching engine, and the
-//! per-box [`ServingReport`]s merge through the two-level
-//! [`ServingReport::merge_boxes`] with the same conservation invariants
-//! (every request terminates exactly once, cluster-wide).
+//! per-box [`ServingReport`]s combine through [`ServingReport::merge`] —
+//! the same device-weighted merge that combines a box's replicas — with
+//! the same conservation invariants (every request terminates exactly
+//! once, cluster-wide). A one-box cluster's report is its box's report.
 //!
 //! Routing is where cluster serving differs from a big box. Each request
 //! has a deterministic **home box** — a hash of its id, standing in for
@@ -31,12 +32,11 @@
 //! [`gaudi_exec::ExecPool`] but are merged in box order, so the cluster
 //! report is bit-identical across execution policies.
 
-use crate::engine::{simulate_trace_with, ExecPolicy, PlanSharing, ServingConfig};
+use crate::engine::{simulate_trace_with, ExecPolicy, ServingConfig};
 use crate::error::ServingError;
 use crate::report::ServingReport;
 use crate::request::{generate_requests, Request};
 use gaudi_hw::Topology;
-use std::sync::Arc;
 
 /// How the front-end router assigns requests to boxes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -147,23 +147,14 @@ pub struct BoxSummary {
     /// ([`ServingReport::availability`] of the per-box report, captured
     /// before the merge stretches every box to the cluster makespan).
     pub availability: f64,
-    /// Replica restarts inside this box.
-    pub restarts: usize,
-    /// KV bytes this box's cards checkpointed to host DRAM.
-    pub checkpoint_bytes: u64,
-    /// Simulated time this box spent restoring snapshots over DMA, ms.
-    pub restore_ms: f64,
-    /// Generated tokens this box recovered from snapshots instead of
-    /// recomputing.
-    pub recovered_tokens: u64,
 }
 
 /// Result of a cluster simulation: the merged cluster-level report plus
 /// the routing telemetry the merge cannot carry.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// The cluster-level report ([`ServingReport::merge_boxes`] over the
-    /// per-box reports, in box order).
+    /// The cluster-level report ([`ServingReport::merge`] over the per-box
+    /// reports, in box order).
     pub report: ServingReport,
     /// Fleet shape.
     pub boxes: usize,
@@ -224,26 +215,6 @@ impl ClusterReport {
         weighted / cards as f64
     }
 
-    /// Total replica restarts across all boxes.
-    pub fn restarts(&self) -> usize {
-        self.per_box.iter().map(|b| b.restarts).sum()
-    }
-
-    /// Total KV bytes checkpointed to host DRAM across all boxes.
-    pub fn checkpoint_bytes(&self) -> u64 {
-        self.per_box.iter().map(|b| b.checkpoint_bytes).sum()
-    }
-
-    /// Total DMA restore time across all boxes, ms.
-    pub fn restore_ms(&self) -> f64 {
-        self.per_box.iter().map(|b| b.restore_ms).sum()
-    }
-
-    /// Total tokens recovered from snapshots across all boxes.
-    pub fn recovered_tokens(&self) -> u64 {
-        self.per_box.iter().map(|b| b.recovered_tokens).sum()
-    }
-
     /// One-paragraph text summary.
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -264,15 +235,16 @@ impl ClusterReport {
             100.0 * self.cross_box_fraction(),
             self.imbalance(),
         );
-        if self.restarts() > 0 || self.checkpoint_bytes() > 0 {
+        let r = &self.report;
+        if r.restarts > 0 || r.checkpoint_bytes > 0 {
             out.push_str(&format!(
                 "\navailability {:.4} | restarts {} | checkpointed {} B | \
                  restored {:.2} ms | recovered {} tok",
                 self.availability(),
-                self.restarts(),
-                self.checkpoint_bytes(),
-                self.restore_ms(),
-                self.recovered_tokens(),
+                r.restarts,
+                r.checkpoint_bytes,
+                r.restore_ms,
+                r.recovered_tokens,
             ));
         }
         out
@@ -372,13 +344,9 @@ pub fn simulate_cluster_with(
     box_cfg.devices = cfg.cards_per_box;
     let inner = ExecPolicy {
         pool: gaudi_exec::ExecPool::serial(),
-        plans: match &policy.plans {
-            PlanSharing::PerReplica => PlanSharing::PerReplica,
-            PlanSharing::PerCall => PlanSharing::PerCall,
-            PlanSharing::Shared(cache) => PlanSharing::Shared(Arc::clone(cache)),
-        },
+        plans: policy.plans.clone(),
     };
-    let mut reports: Vec<ServingReport> =
+    let reports: Vec<ServingReport> =
         policy
             .pool
             .try_par_map(&shards, |_, shard| -> Result<_, ServingError> {
@@ -396,23 +364,11 @@ pub fn simulate_cluster_with(
             goodput_tokens_per_s: r.goodput_tokens_per_s,
             makespan_ms: r.makespan_ms,
             availability: r.availability(),
-            restarts: r.restarts,
-            checkpoint_bytes: r.checkpoint_bytes,
-            restore_ms: r.restore_ms,
-            recovered_tokens: r.recovered_tokens,
         })
         .collect();
-    // A one-box cluster *is* its box: skip the second merge level so the
-    // report is bit-identical to the plain engine (re-deriving a gauge as
-    // `u × w / w` is not a floating-point no-op).
-    let report = if reports.len() == 1 {
-        reports.pop().expect("exactly one box")
-    } else {
-        ServingReport::merge_boxes(reports)
-    };
 
     Ok(ClusterReport {
-        report,
+        report: ServingReport::merge(reports),
         boxes: cfg.boxes,
         cards_per_box: cfg.cards_per_box,
         router: cfg.router,
@@ -540,18 +496,10 @@ mod tests {
         let c = simulate_cluster(&cfg).unwrap();
 
         // The same plan hits every box: both restart once and both
-        // checkpoint, and the cluster accessors are the per-box sums.
-        assert_eq!(c.restarts(), 2);
-        assert_eq!(
-            c.restarts(),
-            c.per_box.iter().map(|b| b.restarts).sum::<usize>()
-        );
+        // checkpoint.
+        assert_eq!(c.report.restarts, 2);
         assert!(c.availability() < 1.0, "a down window must cost up-time");
-        assert!(c.checkpoint_bytes() > 0, "live chains must snapshot");
-        assert_eq!(
-            c.checkpoint_bytes(),
-            c.per_box.iter().map(|b| b.checkpoint_bytes).sum::<u64>()
-        );
+        assert!(c.report.checkpoint_bytes > 0, "live chains must snapshot");
 
         // Device-weighted identity: equal-width boxes reduce to the mean
         // of the per-box values...

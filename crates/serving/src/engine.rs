@@ -69,7 +69,7 @@ use crate::cost::{CostContext, CostModel, Phase, PhaseCost, PlanCache, RecipeCac
 use crate::error::ServingError;
 use crate::fault::{Job, RedistributionPolicy};
 use crate::kv::{ActivationBudget, KvAdmission, KvAdmissionConfig};
-use crate::report::{DropKind, DroppedRequest, Percentiles, RequestOutcome, ServingReport};
+use crate::report::{DropKind, DroppedRequest, RequestOutcome, ServingReport};
 use crate::request::{generate_requests, Request, TrafficConfig};
 use crate::robustness::RobustnessConfig;
 use gaudi_compiler::CompilerOptions;
@@ -1094,8 +1094,6 @@ impl<'a> Replica<'a> {
         self.dropped.sort_by_key(|d| d.id);
         let clock_ms = self.clock_ms;
         let span_ns = clock_ms * 1e6;
-        let goodput_tokens: usize = self.completed.iter().map(|o| o.output_len).sum();
-        let wasted_tokens: usize = self.dropped.iter().map(|d| d.tokens_generated).sum();
         let retries: usize = self
             .completed
             .iter()
@@ -1106,28 +1104,6 @@ impl<'a> Replica<'a> {
                 .iter()
                 .map(|d| d.retries as usize)
                 .sum::<usize>();
-
-        let ttft = Percentiles::of(self.completed.iter().map(|o| o.ttft_ms));
-        let tpot = Percentiles::of(self.completed.iter().flat_map(|o| {
-            o.token_times_ms
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .collect::<Vec<_>>()
-        }));
-        let queue = Percentiles::of(self.completed.iter().map(|o| o.queue_ms));
-        let timed_out = Percentiles::of(
-            self.dropped
-                .iter()
-                .filter(|d| d.kind == DropKind::TimedOut)
-                .map(|d| d.at_ms - d.arrival_ms),
-        );
-        let per_s = |tokens: usize| {
-            if clock_ms > 0.0 {
-                tokens as f64 / (clock_ms / 1e3)
-            } else {
-                0.0
-            }
-        };
         let util = |busy_ns: f64| {
             if span_ns > 0.0 {
                 busy_ns / span_ns
@@ -1142,12 +1118,6 @@ impl<'a> Replica<'a> {
         ServingReport {
             offered: self.completed.len() + self.dropped.len(),
             makespan_ms: clock_ms,
-            ttft_ms: ttft,
-            tpot_ms: tpot,
-            queue_ms: queue,
-            timed_out_latency_ms: timed_out,
-            goodput_tokens_per_s: per_s(goodput_tokens),
-            throughput_tokens_per_s: per_s(goodput_tokens + wasted_tokens),
             mme_utilization: util(self.mme_busy_ns),
             tpc_utilization: util(self.tpc_busy_ns),
             dma_utilization: util(self.dma_busy_ns),
@@ -1178,7 +1148,9 @@ impl<'a> Replica<'a> {
             completed: self.completed,
             dropped: self.dropped,
             trace: self.trace,
+            ..ServingReport::default()
         }
+        .with_request_stats()
     }
 }
 
@@ -1190,9 +1162,11 @@ impl<'a> Replica<'a> {
 ///
 /// With `cfg.devices > 1` the request stream is dispatched round-robin
 /// (in arrival order) across that many data-parallel replicas, each
-/// running the full continuous-batching schedule on its own card; the
-/// merged report carries per-card-averaged utilizations and a
-/// device-tagged trace. A replica the fault plan kills re-queues its
+/// running the full continuous-batching schedule on its own card. The
+/// per-replica reports combine through [`ServingReport::merge`], so the
+/// report carries per-card-averaged utilizations, percentiles over every
+/// request, and a device-tagged trace; with one card the replica's
+/// report is returned as it is. A replica the fault plan kills re-queues its
 /// unfinished work onto the live replicas with exponential backoff, and a
 /// replica whose kill carries a restart window rejoins the dispatch pool
 /// when it comes back (see the module docs). If the plan leaves *no*
@@ -1355,7 +1329,7 @@ pub fn simulate_trace_with(
         }
     }
 
-    let mut reports: Vec<ServingReport> = if cfg.faults.card_failures.is_empty() {
+    let reports: Vec<ServingReport> = if cfg.faults.card_failures.is_empty() {
         // Fault-free: replicas never interact, so shard the stream
         // round-robin up front and fan the independent single-card
         // simulations out on the policy's pool. `try_par_map` returns
@@ -1381,11 +1355,7 @@ pub fn simulate_trace_with(
         simulate_box(cfg, requests, &make_cost, activation_reserve)?
     };
 
-    let mut report = if cfg.devices == 1 {
-        reports.pop().expect("exactly one replica")
-    } else {
-        ServingReport::merge_replicas(cfg.devices, reports)
-    };
+    let mut report = ServingReport::merge(reports);
     // Fault-lane observability: overlay the plan's kill/restart/flap/
     // slowdown windows as device-tagged trace lanes, so a Chrome-trace
     // export shows *why* a card's serving lanes go quiet. Appended after

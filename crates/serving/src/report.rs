@@ -105,7 +105,7 @@ pub struct DroppedRequest {
 }
 
 /// Aggregate result of a serving simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServingReport {
     /// Per-request outcomes of requests that completed within every
     /// configured SLO, sorted by id. With the default (unlimited)
@@ -166,7 +166,7 @@ pub struct ServingReport {
     /// Device HBM capacity, bytes.
     pub kv_capacity_bytes: u64,
     /// Fraction of the KV bytes reserved at the peak that held live
-    /// tokens (mean over replicas). Contiguous admission wastes the
+    /// tokens (mean over cards). Contiguous admission wastes the
     /// not-yet-generated output tail of every reservation; paged
     /// admission wastes only each chain's last-block rounding — the gap
     /// between the two is the headroom paging reclaims.
@@ -420,121 +420,12 @@ impl ServingReport {
 
         format!("{}\n{}", lat.render(), eng.render())
     }
-}
 
-/// Two-level report merging: replicas → box, boxes → cluster.
-impl ServingReport {
-    /// Merge per-replica reports into one box-level report: latency percentiles
-    /// recomputed over the union, throughput summed against the slowest
-    /// replica's makespan, utilizations averaged per card (busy time
-    /// reconstructed from each replica's utilization × its own makespan, NIC
-    /// included), availability counters summed, and the trace re-tagged with
-    /// each replica's [`DeviceId`].
-    pub fn merge_replicas(devices: usize, replicas: Vec<ServingReport>) -> ServingReport {
-        let makespan_ms = replicas.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
-        let span_ns = makespan_ms * 1e6;
-        // Recover each replica's busy time from its own utilization x makespan.
-        let busy = |f: fn(&ServingReport) -> f64| -> f64 {
-            replicas.iter().map(|r| f(r) * r.makespan_ms * 1e6).sum()
-        };
-        let util = |f: fn(&ServingReport) -> f64| -> f64 {
-            if span_ns > 0.0 {
-                busy(f) / (span_ns * devices as f64)
-            } else {
-                0.0
-            }
-        };
-        let mme_utilization = util(|r| r.mme_utilization);
-        let tpc_utilization = util(|r| r.tpc_utilization);
-        let dma_utilization = util(|r| r.dma_utilization);
-        let nic_utilization = util(|r| r.nic_utilization);
-
-        let mut completed: Vec<RequestOutcome> = Vec::new();
-        let mut dropped: Vec<DroppedRequest> = Vec::new();
-        let mut offered = 0;
-        let mut trace = Trace::new();
-        let mut decode_steps = 0;
-        let mut prefills = 0;
-        let mut backpressure_stalls = 0;
-        let mut max_queue_depth = 0;
-        let mut peak_queued_tokens = 0;
-        let mut kv_peak_bytes = 0;
-        let mut kv_capacity_bytes = 0;
-        let mut kv_block_utilization = 0.0;
-        let mut compiled_graphs = 0;
-        let mut recipe_compiles = 0;
-        let mut preemptions = 0;
-        let mut peak_running = 0;
-        let mut scheduled_tokens = 0;
-        let mut padded_tokens = 0;
-        let mut retries = 0;
-        let mut requeued_tokens = 0;
-        let mut checkpoint_bytes = 0;
-        let mut restore_ms = 0.0;
-        let mut recovered_tokens = 0;
-        let mut failed_replicas = 0;
-        let mut restarts = 0;
-        let mut replica_uptime_ms = Vec::with_capacity(devices);
-        for (d, r) in replicas.into_iter().enumerate() {
-            completed.extend(r.completed);
-            dropped.extend(r.dropped);
-            offered += r.offered;
-            for ev in r.trace.events() {
-                trace.push(ev.clone().on_device(DeviceId(d)));
-            }
-            decode_steps += r.decode_steps;
-            prefills += r.prefills;
-            backpressure_stalls += r.backpressure_stalls;
-            max_queue_depth = max_queue_depth.max(r.max_queue_depth);
-            peak_queued_tokens = peak_queued_tokens.max(r.peak_queued_tokens);
-            kv_peak_bytes = r.kv_peak_bytes.max(kv_peak_bytes);
-            kv_capacity_bytes = r.kv_capacity_bytes;
-            // Device-weighted like merge_boxes' gauges: a replica spanning
-            // w cards (tensor parallelism) contributes w shares of the
-            // box mean. Single-card replicas keep `r.devices == 1`, where
-            // `x * 1.0 / d` is bit-identical to the old `x / d` — the
-            // golden digests pin that. Dividing by `devices` without the
-            // weight silently deflated the gauge whenever replicas !=
-            // devices.
-            kv_block_utilization += r.kv_block_utilization * r.devices as f64 / devices as f64;
-            compiled_graphs += r.compiled_graphs;
-            recipe_compiles += r.recipe_compiles;
-            preemptions += r.preemptions;
-            // Summed, not max'd: the box-level "max concurrent sequences" is
-            // the aggregate decode capacity the stream actually reached
-            // (per-replica peaks need not be simultaneous; each replica's own
-            // peak is exact).
-            peak_running += r.peak_running;
-            scheduled_tokens += r.scheduled_tokens;
-            padded_tokens += r.padded_tokens;
-            retries += r.retries;
-            requeued_tokens += r.requeued_tokens;
-            checkpoint_bytes += r.checkpoint_bytes;
-            restore_ms += r.restore_ms;
-            recovered_tokens += r.recovered_tokens;
-            failed_replicas += r.failed_replicas;
-            restarts += r.restarts;
-            replica_uptime_ms.extend(r.replica_uptime_ms);
-        }
-        completed.sort_by_key(|o| o.id);
-        dropped.sort_by_key(|o| o.id);
-        let goodput_tokens: usize = completed.iter().map(|o| o.output_len).sum();
-        let wasted_tokens: usize = dropped.iter().map(|d| d.tokens_generated).sum();
-
-        let ttft_ms = Percentiles::of(completed.iter().map(|o| o.ttft_ms));
-        let tpot_ms = Percentiles::of(completed.iter().flat_map(|o| {
-            o.token_times_ms
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .collect::<Vec<_>>()
-        }));
-        let queue_ms = Percentiles::of(completed.iter().map(|o| o.queue_ms));
-        let timed_out_latency_ms = Percentiles::of(
-            dropped
-                .iter()
-                .filter(|d| d.kind == DropKind::TimedOut)
-                .map(|d| d.at_ms - d.arrival_ms),
-        );
+    /// Fill in the statistics derived from the per-request samples and the
+    /// makespan: latency percentiles over `completed` (and the time-outs in
+    /// `dropped`) and the goodput and throughput token rates.
+    pub(crate) fn with_request_stats(mut self) -> Self {
+        let makespan_ms = self.makespan_ms;
         let per_s = |tokens: usize| {
             if makespan_ms > 0.0 {
                 tokens as f64 / (makespan_ms / 1e3)
@@ -542,219 +433,111 @@ impl ServingReport {
                 0.0
             }
         };
-
-        ServingReport {
-            completed,
-            dropped,
-            offered,
-            makespan_ms,
-            ttft_ms,
-            tpot_ms,
-            queue_ms,
-            timed_out_latency_ms,
-            goodput_tokens_per_s: per_s(goodput_tokens),
-            throughput_tokens_per_s: per_s(goodput_tokens + wasted_tokens),
-            mme_utilization,
-            tpc_utilization,
-            dma_utilization,
-            nic_utilization,
-            decode_steps,
-            prefills,
-            backpressure_stalls,
-            max_queue_depth,
-            peak_queued_tokens,
-            kv_peak_bytes,
-            kv_capacity_bytes,
-            kv_block_utilization,
-            compiled_graphs,
-            recipe_compiles,
-            preemptions,
-            peak_running,
-            scheduled_tokens,
-            padded_tokens,
-            devices,
-            retries,
-            requeued_tokens,
-            checkpoint_bytes,
-            restore_ms,
-            recovered_tokens,
-            failed_replicas,
-            restarts,
-            replica_uptime_ms,
-            trace,
-        }
+        let goodput_tokens: usize = self.completed.iter().map(|o| o.output_len).sum();
+        let wasted_tokens: usize = self.dropped.iter().map(|d| d.tokens_generated).sum();
+        self.goodput_tokens_per_s = per_s(goodput_tokens);
+        self.throughput_tokens_per_s = per_s(goodput_tokens + wasted_tokens);
+        self.ttft_ms = Percentiles::of(self.completed.iter().map(|o| o.ttft_ms));
+        self.tpot_ms = Percentiles::of(self.completed.iter().flat_map(|o| {
+            o.token_times_ms
+                .windows(2)
+                .map(|w| w[1] - w[0])
+                .collect::<Vec<_>>()
+        }));
+        self.queue_ms = Percentiles::of(self.completed.iter().map(|o| o.queue_ms));
+        self.timed_out_latency_ms = Percentiles::of(
+            self.dropped
+                .iter()
+                .filter(|d| d.kind == DropKind::TimedOut)
+                .map(|d| d.at_ms - d.arrival_ms),
+        );
+        self
     }
 
-    /// Merge per-box reports into one cluster-level report — the second
-    /// level of the two-level merge. Unlike [`merge_replicas`], whose
-    /// float arithmetic is frozen (golden-pinned) to the single-box
-    /// engine, this level weights every per-box gauge by that box's
-    /// device count: busy time is reconstructed as
-    /// `util × makespan × devices` per box, utilizations renormalize over
-    /// the cluster's total device count and the slowest box's makespan,
-    /// and latency percentiles are re-derived from the pooled per-request
-    /// samples — never by averaging per-box percentiles (the p99 of a
-    /// union is not the mean of the p99s). Trace events are re-tagged
-    /// with cluster-global device ids (each box's devices offset by the
-    /// devices of the boxes before it).
+    /// Merge the reports of disjoint device groups — replicas into a box,
+    /// boxes into a cluster — into one report over all their devices.
     ///
-    /// [`merge_replicas`]: Self::merge_replicas
-    pub fn merge_boxes(boxes: Vec<ServingReport>) -> ServingReport {
-        let devices: usize = boxes.iter().map(|r| r.devices).sum();
-        let makespan_ms = boxes.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
+    /// Every per-card gauge is weighted by the devices each part ran on:
+    /// busy time is rebuilt as `util × makespan × devices` per part and
+    /// renormalized over the total device count and the slowest part's
+    /// makespan, and `kv_block_utilization` is the device-weighted mean.
+    /// Latency percentiles are re-derived from the pooled per-request
+    /// samples — never by averaging per-part percentiles (the p99 of a
+    /// union is not the mean of the p99s). Counters sum, high-water marks
+    /// take the max, and trace events are re-tagged with global device ids
+    /// (each part's devices offset by the devices of the parts before it).
+    ///
+    /// A single part is returned unchanged: it already is the merged
+    /// report, and re-deriving a gauge as `u × w / w` is not a
+    /// floating-point no-op.
+    pub fn merge(mut parts: Vec<ServingReport>) -> ServingReport {
+        if parts.len() == 1 {
+            return parts.pop().expect("one part");
+        }
+        let devices: usize = parts.iter().map(|r| r.devices).sum();
+        let makespan_ms = parts.iter().map(|r| r.makespan_ms).fold(0.0, f64::max);
         let span_ns = makespan_ms * 1e6;
-        let busy = |f: fn(&ServingReport) -> f64| -> f64 {
-            boxes
-                .iter()
-                .map(|r| f(r) * r.makespan_ms * 1e6 * r.devices as f64)
-                .sum()
-        };
-        let util = |f: fn(&ServingReport) -> f64| -> f64 {
-            if span_ns > 0.0 && devices > 0 {
-                busy(f) / (span_ns * devices as f64)
+        // Device-weighted mean of a per-part value, divided by `over`: the
+        // merged span for busy times, 1 for ratios that are already per card.
+        let per_card = |gauge: fn(&ServingReport) -> f64, over: f64| -> f64 {
+            if over > 0.0 && devices > 0 {
+                parts
+                    .iter()
+                    .map(|r| gauge(r) * r.devices as f64)
+                    .sum::<f64>()
+                    / (over * devices as f64)
             } else {
                 0.0
             }
         };
-        let mme_utilization = util(|r| r.mme_utilization);
-        let tpc_utilization = util(|r| r.tpc_utilization);
-        let dma_utilization = util(|r| r.dma_utilization);
-        let nic_utilization = util(|r| r.nic_utilization);
-        let kv_block_utilization = if devices > 0 {
-            boxes
-                .iter()
-                .map(|r| r.kv_block_utilization * r.devices as f64)
-                .sum::<f64>()
-                / devices as f64
-        } else {
-            0.0
+        let mut m = ServingReport {
+            makespan_ms,
+            mme_utilization: per_card(|r| r.mme_utilization * r.makespan_ms * 1e6, span_ns),
+            tpc_utilization: per_card(|r| r.tpc_utilization * r.makespan_ms * 1e6, span_ns),
+            dma_utilization: per_card(|r| r.dma_utilization * r.makespan_ms * 1e6, span_ns),
+            nic_utilization: per_card(|r| r.nic_utilization * r.makespan_ms * 1e6, span_ns),
+            kv_block_utilization: per_card(|r| r.kv_block_utilization, 1.0),
+            devices,
+            ..ServingReport::default()
         };
-
-        let mut completed: Vec<RequestOutcome> = Vec::new();
-        let mut dropped: Vec<DroppedRequest> = Vec::new();
-        let mut offered = 0;
-        let mut trace = Trace::new();
         let mut device_offset = 0;
-        let mut decode_steps = 0;
-        let mut prefills = 0;
-        let mut backpressure_stalls = 0;
-        let mut max_queue_depth = 0;
-        let mut peak_queued_tokens = 0;
-        let mut kv_peak_bytes = 0;
-        let mut kv_capacity_bytes = 0;
-        let mut compiled_graphs = 0;
-        let mut recipe_compiles = 0;
-        let mut preemptions = 0;
-        let mut peak_running = 0;
-        let mut scheduled_tokens = 0;
-        let mut padded_tokens = 0;
-        let mut retries = 0;
-        let mut requeued_tokens = 0;
-        let mut checkpoint_bytes = 0;
-        let mut restore_ms = 0.0;
-        let mut recovered_tokens = 0;
-        let mut failed_replicas = 0;
-        let mut restarts = 0;
-        let mut replica_uptime_ms = Vec::with_capacity(devices);
-        for r in boxes {
-            completed.extend(r.completed);
-            dropped.extend(r.dropped);
-            offered += r.offered;
+        for r in parts {
+            m.completed.extend(r.completed);
+            m.dropped.extend(r.dropped);
+            m.offered += r.offered;
             for ev in r.trace.events() {
                 let mut ev = ev.clone();
                 ev.device = DeviceId(ev.device.0 + device_offset);
-                trace.push(ev);
+                m.trace.push(ev);
             }
             device_offset += r.devices;
-            decode_steps += r.decode_steps;
-            prefills += r.prefills;
-            backpressure_stalls += r.backpressure_stalls;
-            max_queue_depth = max_queue_depth.max(r.max_queue_depth);
-            peak_queued_tokens = peak_queued_tokens.max(r.peak_queued_tokens);
-            kv_peak_bytes = r.kv_peak_bytes.max(kv_peak_bytes);
-            kv_capacity_bytes = r.kv_capacity_bytes.max(kv_capacity_bytes);
-            compiled_graphs += r.compiled_graphs;
-            recipe_compiles += r.recipe_compiles;
-            preemptions += r.preemptions;
-            peak_running += r.peak_running;
-            scheduled_tokens += r.scheduled_tokens;
-            padded_tokens += r.padded_tokens;
-            retries += r.retries;
-            requeued_tokens += r.requeued_tokens;
-            checkpoint_bytes += r.checkpoint_bytes;
-            restore_ms += r.restore_ms;
-            recovered_tokens += r.recovered_tokens;
-            failed_replicas += r.failed_replicas;
-            restarts += r.restarts;
-            replica_uptime_ms.extend(r.replica_uptime_ms);
+            m.decode_steps += r.decode_steps;
+            m.prefills += r.prefills;
+            m.backpressure_stalls += r.backpressure_stalls;
+            m.max_queue_depth = m.max_queue_depth.max(r.max_queue_depth);
+            m.peak_queued_tokens = m.peak_queued_tokens.max(r.peak_queued_tokens);
+            m.kv_peak_bytes = m.kv_peak_bytes.max(r.kv_peak_bytes);
+            m.kv_capacity_bytes = m.kv_capacity_bytes.max(r.kv_capacity_bytes);
+            m.compiled_graphs += r.compiled_graphs;
+            m.recipe_compiles += r.recipe_compiles;
+            m.preemptions += r.preemptions;
+            // Summed, not max'd: the aggregate decode capacity the stream
+            // reached (per-part peaks need not be simultaneous).
+            m.peak_running += r.peak_running;
+            m.scheduled_tokens += r.scheduled_tokens;
+            m.padded_tokens += r.padded_tokens;
+            m.retries += r.retries;
+            m.requeued_tokens += r.requeued_tokens;
+            m.checkpoint_bytes += r.checkpoint_bytes;
+            m.restore_ms += r.restore_ms;
+            m.recovered_tokens += r.recovered_tokens;
+            m.failed_replicas += r.failed_replicas;
+            m.restarts += r.restarts;
+            m.replica_uptime_ms.extend(r.replica_uptime_ms);
         }
-        completed.sort_by_key(|o| o.id);
-        dropped.sort_by_key(|o| o.id);
-        let goodput_tokens: usize = completed.iter().map(|o| o.output_len).sum();
-        let wasted_tokens: usize = dropped.iter().map(|d| d.tokens_generated).sum();
-
-        let ttft_ms = Percentiles::of(completed.iter().map(|o| o.ttft_ms));
-        let tpot_ms = Percentiles::of(completed.iter().flat_map(|o| {
-            o.token_times_ms
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .collect::<Vec<_>>()
-        }));
-        let queue_ms = Percentiles::of(completed.iter().map(|o| o.queue_ms));
-        let timed_out_latency_ms = Percentiles::of(
-            dropped
-                .iter()
-                .filter(|d| d.kind == DropKind::TimedOut)
-                .map(|d| d.at_ms - d.arrival_ms),
-        );
-        let per_s = |tokens: usize| {
-            if makespan_ms > 0.0 {
-                tokens as f64 / (makespan_ms / 1e3)
-            } else {
-                0.0
-            }
-        };
-
-        ServingReport {
-            completed,
-            dropped,
-            offered,
-            makespan_ms,
-            ttft_ms,
-            tpot_ms,
-            queue_ms,
-            timed_out_latency_ms,
-            goodput_tokens_per_s: per_s(goodput_tokens),
-            throughput_tokens_per_s: per_s(goodput_tokens + wasted_tokens),
-            mme_utilization,
-            tpc_utilization,
-            dma_utilization,
-            nic_utilization,
-            decode_steps,
-            prefills,
-            backpressure_stalls,
-            max_queue_depth,
-            peak_queued_tokens,
-            kv_peak_bytes,
-            kv_capacity_bytes,
-            kv_block_utilization,
-            compiled_graphs,
-            recipe_compiles,
-            preemptions,
-            peak_running,
-            scheduled_tokens,
-            padded_tokens,
-            devices,
-            retries,
-            requeued_tokens,
-            checkpoint_bytes,
-            restore_ms,
-            recovered_tokens,
-            failed_replicas,
-            restarts,
-            replica_uptime_ms,
-            trace,
-        }
+        m.completed.sort_by_key(|o| o.id);
+        m.dropped.sort_by_key(|d| d.id);
+        m.with_request_stats()
     }
 }
 
@@ -762,69 +545,89 @@ impl ServingReport {
 mod tests {
     use super::*;
 
-    /// A minimal replica report spanning `devices` cards with the given
-    /// block-utilization gauge; everything else is zero/empty.
-    fn replica_report(devices: usize, kv_block_utilization: f64) -> ServingReport {
+    /// A minimal report spanning `devices` cards over a 10 ms makespan with
+    /// the given MME and block-utilization gauges; everything else is
+    /// zero/empty.
+    fn part(devices: usize, mme_utilization: f64, kv_block_utilization: f64) -> ServingReport {
         ServingReport {
-            completed: vec![],
-            dropped: vec![],
-            offered: 0,
             makespan_ms: 10.0,
-            ttft_ms: Percentiles::default(),
-            tpot_ms: Percentiles::default(),
-            queue_ms: Percentiles::default(),
-            timed_out_latency_ms: Percentiles::default(),
-            goodput_tokens_per_s: 0.0,
-            throughput_tokens_per_s: 0.0,
-            mme_utilization: 0.0,
-            tpc_utilization: 0.0,
-            dma_utilization: 0.0,
-            nic_utilization: 0.0,
-            decode_steps: 0,
-            prefills: 0,
-            backpressure_stalls: 0,
-            max_queue_depth: 0,
-            peak_queued_tokens: 0,
-            kv_peak_bytes: 0,
-            kv_capacity_bytes: 0,
+            mme_utilization,
             kv_block_utilization,
-            compiled_graphs: 0,
-            recipe_compiles: 0,
-            preemptions: 0,
-            peak_running: 0,
-            scheduled_tokens: 0,
-            padded_tokens: 0,
             devices,
-            retries: 0,
-            requeued_tokens: 0,
-            checkpoint_bytes: 0,
-            restore_ms: 0.0,
-            recovered_tokens: 0,
-            failed_replicas: 0,
-            restarts: 0,
             replica_uptime_ms: vec![10.0; devices],
-            trace: Trace::new(),
+            ..ServingReport::default()
         }
     }
 
     #[test]
-    fn merge_replicas_weights_block_utilization_by_replica_width() {
-        // Regression: two tp=2 replicas on a 4-card box. The old code
-        // divided each replica's gauge by 4 *without* the 2-card weight,
-        // reporting (0.9 + 0.6) / 4 = 0.375 for a box whose cards sit at
-        // a true mean of (0.9*2 + 0.6*2) / 4 = 0.75.
-        let merged =
-            ServingReport::merge_replicas(4, vec![replica_report(2, 0.9), replica_report(2, 0.6)]);
+    fn merge_weights_per_card_gauges_by_part_width() {
+        // Regression: two tp=2 replicas on a 4-card box. Dividing each
+        // replica's gauge by 4 *without* the 2-card weight reported
+        // (0.9 + 0.6) / 4 = 0.375 for a box whose cards sit at a true
+        // mean of (0.9*2 + 0.6*2) / 4 = 0.75.
+        let tp = ServingReport::merge(vec![part(2, 0.0, 0.9), part(2, 0.0, 0.6)]);
+        assert_eq!(tp.devices, 4);
         assert!(
-            (merged.kv_block_utilization - 0.75).abs() < 1e-12,
+            (tp.kv_block_utilization - 0.75).abs() < 1e-12,
             "device-weighted mean, got {}",
-            merged.kv_block_utilization
+            tp.kv_block_utilization
         );
-        // Data-parallel single-card replicas are the legacy path and must
-        // stay bit-identical (x * 1.0 / d == x / d in IEEE f64).
-        let dp =
-            ServingReport::merge_replicas(2, vec![replica_report(1, 0.9), replica_report(1, 0.6)]);
-        assert_eq!(dp.kv_block_utilization, 0.9 / 2.0 + 0.6 / 2.0);
+        // Single-card parts sum first and divide once.
+        let dp = ServingReport::merge(vec![part(1, 0.0, 0.9), part(1, 0.0, 0.6)]);
+        assert_eq!(dp.kv_block_utilization, (0.9 + 0.6) / 2.0);
+
+        // Mixed widths: a tp=2 replica beside two single-card ones. The
+        // busy-time utilizations are per-card means too, so the wide part
+        // counts twice: (0.8*2 + 0.4 + 0.2) / 4, not (0.8 + 0.4 + 0.2) / 4.
+        let mixed = ServingReport::merge(vec![
+            part(2, 0.8, 0.9),
+            part(1, 0.4, 0.6),
+            part(1, 0.2, 0.3),
+        ]);
+        assert_eq!(mixed.devices, 4);
+        assert!(
+            (mixed.kv_block_utilization - 0.675).abs() < 1e-12,
+            "kv gauge device-weighted, got {}",
+            mixed.kv_block_utilization
+        );
+        assert!(
+            (mixed.mme_utilization - 0.55).abs() < 1e-12,
+            "MME utilization device-weighted, got {}",
+            mixed.mme_utilization
+        );
+    }
+
+    #[test]
+    fn merge_returns_a_single_part_unchanged() {
+        // A two-card part whose stored percentiles and gauges a re-merge
+        // would re-derive differently (ttft from the samples, `u × 2 / 2`
+        // in floats) comes back exactly as it went in.
+        let mut r = part(2, 0.1, 0.7);
+        r.offered = 1;
+        r.completed.push(RequestOutcome {
+            id: 0,
+            arrival_ms: 0.0,
+            prompt_len: 8,
+            output_len: 2,
+            queue_ms: 0.5,
+            ttft_ms: 1.5,
+            retries: 0,
+            finish_ms: 3.0,
+            token_times_ms: vec![1.5, 3.0],
+        });
+        let mut ev = gaudi_profiler::TraceEvent::basic(
+            "decode",
+            "serving",
+            gaudi_hw::EngineId::Mme,
+            0.0,
+            1e6,
+        );
+        ev.device = DeviceId(1);
+        r.trace.push(ev);
+        assert_eq!(
+            format!("{:?}", ServingReport::merge(vec![r.clone()])),
+            format!("{r:?}")
+        );
     }
 
     #[test]
@@ -846,14 +649,7 @@ mod tests {
     #[test]
     fn render_mentions_key_metrics() {
         let r = ServingReport {
-            completed: vec![],
-            dropped: vec![],
-            offered: 0,
             makespan_ms: 12.5,
-            ttft_ms: Percentiles::default(),
-            tpot_ms: Percentiles::default(),
-            queue_ms: Percentiles::default(),
-            timed_out_latency_ms: Percentiles::default(),
             goodput_tokens_per_s: 42.0,
             throughput_tokens_per_s: 42.0,
             mme_utilization: 0.5,
@@ -870,20 +666,12 @@ mod tests {
             kv_block_utilization: 0.5,
             compiled_graphs: 5,
             recipe_compiles: 5,
-            preemptions: 0,
             peak_running: 3,
             scheduled_tokens: 128,
             padded_tokens: 32,
             devices: 1,
-            retries: 0,
-            requeued_tokens: 0,
-            checkpoint_bytes: 0,
-            restore_ms: 0.0,
-            recovered_tokens: 0,
-            failed_replicas: 0,
-            restarts: 0,
             replica_uptime_ms: vec![12.5],
-            trace: Trace::new(),
+            ..ServingReport::default()
         };
         let text = r.render();
         assert!(text.contains("ttft"));

@@ -410,20 +410,32 @@ proptest! {
         prop_assert_eq!(cal_log, tree_log);
     }
 
-    /// The second merge level (boxes → cluster) conserves work exactly
-    /// like the first, and its latency percentiles are re-derived from
-    /// the pooled per-request samples — not averaged per-box percentiles.
+    /// `ServingReport::merge` conserves work over parts of mixed widths,
+    /// sums every recovery counter in part order, and re-derives its
+    /// latency percentiles from the pooled per-request samples — not by
+    /// averaging per-part percentiles.
     #[test]
-    fn merge_boxes_conserves_work_and_pools_percentile_samples(
+    fn merge_conserves_work_and_pools_percentile_samples(
         seed in 0u64..1_000_000,
         num_requests in 4usize..40,
         boxes in 2usize..5,
     ) {
-        let cfg = config(seed, 2, num_requests, 4, 500);
-        let mut requests = generate_requests(&cfg.traffic);
+        // A dense stream, so the fault below catches work in flight.
+        let mut base = config(seed, 2, num_requests, 4, 500);
+        base.traffic.arrival_rate_per_s = 2_000.0;
+        let mut requests = generate_requests(&base.traffic);
         requests.sort_by_key(|r| (r.arrival_us, r.id));
         let mut parts = Vec::new();
         for b in 0..boxes {
+            // Odd parts are two-card boxes whose second card dies for a
+            // while under KV checkpointing, so they restart, retry,
+            // snapshot and restore.
+            let mut cfg = base.clone();
+            if b % 2 == 1 {
+                cfg.devices = 2;
+                cfg.faults = FaultPlan::none().kill_for(DeviceId(1), 5.0, 20.0);
+                cfg.robustness = RobustnessConfig::unlimited().checkpoint(1.0, 64e9);
+            }
             let shard: Vec<_> = requests
                 .iter()
                 .enumerate()
@@ -432,17 +444,31 @@ proptest! {
                 .collect();
             parts.push(simulate_trace(&cfg, shard).unwrap());
         }
-        let merged = ServingReport::merge_boxes(parts.clone());
+        let merged = ServingReport::merge(parts.clone());
+        let devices: usize = parts.iter().map(|p| p.devices).sum();
 
-        prop_assert_eq!(merged.devices, boxes);
+        prop_assert_eq!(merged.devices, devices);
         prop_assert_eq!(merged.offered, num_requests);
         prop_assert_eq!(
             merged.completed.len(),
             parts.iter().map(|p| p.completed.len()).sum::<usize>());
 
+        // Recovery counters are the in-order sums over the parts.
+        prop_assert_eq!(merged.restarts, parts.iter().map(|p| p.restarts).sum::<usize>());
+        prop_assert_eq!(merged.retries, parts.iter().map(|p| p.retries).sum::<usize>());
+        prop_assert_eq!(
+            merged.checkpoint_bytes,
+            parts.iter().map(|p| p.checkpoint_bytes).sum::<u64>());
+        prop_assert_eq!(
+            merged.recovered_tokens,
+            parts.iter().map(|p| p.recovered_tokens).sum::<u64>());
+        prop_assert_eq!(
+            merged.restore_ms.to_bits(),
+            parts.iter().fold(0.0f64, |acc, p| acc + p.restore_ms).to_bits());
+
         // Busy-time conservation, device-weighted.
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1e-12);
-        let merged_busy = merged.mme_utilization * merged.makespan_ms * boxes as f64;
+        let merged_busy = merged.mme_utilization * merged.makespan_ms * devices as f64;
         let part_busy: f64 = parts
             .iter()
             .map(|p| p.mme_utilization * p.makespan_ms * p.devices as f64)
@@ -457,8 +483,8 @@ proptest! {
             o.token_times_ms.windows(2).map(|w| w[1] - w[0]).collect::<Vec<_>>()
         }));
         prop_assert_eq!(&merged.tpot_ms, &pooled_tpot);
-        // And NOT from averaging per-box percentiles (they differ unless
-        // every box saw identical latency tails).
+        // And NOT from averaging per-part percentiles (they differ unless
+        // every part saw identical latency tails).
         let averaged_p99: f64 =
             parts.iter().map(|p| p.ttft_ms.p99).sum::<f64>() / boxes as f64;
         let max_p99 = parts.iter().map(|p| p.ttft_ms.p99).fold(0.0, f64::max);
