@@ -5,10 +5,12 @@
 //! scales the same machinery to a datacenter row: a front-end router
 //! splits the stream over `boxes` independent boxes of `cards_per_box`
 //! cards each, every box runs the full continuous-batching engine, and the
-//! per-box [`ServingReport`]s combine through [`ServingReport::merge`] —
-//! the same device-weighted merge that combines a box's replicas — with
-//! the same conservation invariants (every request terminates exactly
-//! once, cluster-wide). A one-box cluster's report is its box's report.
+//! per-box [`ServingReport`]s combine through the device-weighted merge
+//! of [`ServingReport::merge`] — the same merge that combines a box's
+//! replicas — with the same conservation invariants (every request
+//! terminates exactly once, cluster-wide). The boxes hand back raw
+//! reports, and the request statistics are derived once, over the whole
+//! cluster. A one-box cluster's report is its box's report.
 //!
 //! Routing is where cluster serving differs from a big box. Each request
 //! has a deterministic **home box** — a hash of its id, standing in for
@@ -32,7 +34,7 @@
 //! [`gaudi_exec::ExecPool`] but are merged in box order, so the cluster
 //! report is bit-identical across execution policies.
 
-use crate::engine::{simulate_trace_with, ExecPolicy, ServingConfig};
+use crate::engine::{simulate_trace_raw, ExecPolicy, ServingConfig};
 use crate::error::ServingError;
 use crate::report::ServingReport;
 use crate::request::{generate_requests, Request};
@@ -294,11 +296,10 @@ pub fn simulate_cluster_with(
             cfg.oversubscription
         )));
     }
-    if cfg.box_config.traffic.num_requests == 0 {
-        return Err(ServingError::InvalidConfig(
-            "traffic.num_requests must be positive".into(),
-        ));
-    }
+    cfg.box_config
+        .traffic
+        .validate()
+        .map_err(ServingError::InvalidConfig)?;
 
     let topo = cfg.topology();
     let mut requests = generate_requests(&cfg.box_config.traffic);
@@ -339,19 +340,18 @@ pub fn simulate_cluster_with(
 
     // Every box serves its shard with the full engine; boxes are
     // independent, so they are the parallel grain (serial inline within a
-    // box). Results come back in box order regardless of the pool.
+    // box), and each shard moves into its box's task. Results come back in
+    // box order regardless of the pool. The boxes return raw reports: the
+    // request statistics are derived once, over the merged cluster.
     let mut box_cfg = cfg.box_config.clone();
     box_cfg.devices = cfg.cards_per_box;
     let inner = ExecPolicy {
         pool: gaudi_exec::ExecPool::serial(),
         plans: policy.plans.clone(),
     };
-    let reports: Vec<ServingReport> =
-        policy
-            .pool
-            .try_par_map(&shards, |_, shard| -> Result<_, ServingError> {
-                simulate_trace_with(&box_cfg, shard.clone(), &inner)
-            })?;
+    let reports: Vec<ServingReport> = policy.pool.try_par_map_owned(shards, |_, shard| {
+        simulate_trace_raw(&box_cfg, shard, &inner)
+    })?;
 
     let per_box: Vec<BoxSummary> = reports
         .iter()
@@ -361,14 +361,14 @@ pub fn simulate_cluster_with(
             offered: r.offered,
             completed: r.completed.len(),
             routed_tokens: routed_tokens[b],
-            goodput_tokens_per_s: r.goodput_tokens_per_s,
+            goodput_tokens_per_s: r.raw_goodput_tokens_per_s(),
             makespan_ms: r.makespan_ms,
             availability: r.availability(),
         })
         .collect();
 
     Ok(ClusterReport {
-        report: ServingReport::merge(reports),
+        report: ServingReport::merge_raw(reports).finish(&policy.pool),
         boxes: cfg.boxes,
         cards_per_box: cfg.cards_per_box,
         router: cfg.router,

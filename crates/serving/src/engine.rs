@@ -1088,10 +1088,10 @@ impl<'a> Replica<'a> {
         self.recipes = RecipeCache::new(&self.cfg.recipes);
     }
 
-    /// Consume the replica into its single-device report.
-    fn finalize(mut self) -> ServingReport {
-        self.completed.sort_by_key(|o| o.id);
-        self.dropped.sort_by_key(|d| d.id);
+    /// Consume the replica into its raw single-device report: requests in
+    /// termination order, no request statistics (see
+    /// [`ServingReport::merge_raw`]).
+    fn finalize(self) -> ServingReport {
         let clock_ms = self.clock_ms;
         let span_ns = clock_ms * 1e6;
         let retries: usize = self
@@ -1150,7 +1150,6 @@ impl<'a> Replica<'a> {
             trace: self.trace,
             ..ServingReport::default()
         }
-        .with_request_stats()
     }
 }
 
@@ -1163,15 +1162,17 @@ impl<'a> Replica<'a> {
 /// With `cfg.devices > 1` the request stream is dispatched round-robin
 /// (in arrival order) across that many data-parallel replicas, each
 /// running the full continuous-batching schedule on its own card. The
-/// per-replica reports combine through [`ServingReport::merge`], so the
-/// report carries per-card-averaged utilizations, percentiles over every
-/// request, and a device-tagged trace; with one card the replica's
-/// report is returned as it is. A replica the fault plan kills re-queues its
-/// unfinished work onto the live replicas with exponential backoff, and a
-/// replica whose kill carries a restart window rejoins the dispatch pool
-/// when it comes back (see the module docs). If the plan leaves *no*
-/// replica alive — now or later — while requests need dispatching, the
-/// simulation fails with [`ServingError::AllReplicasDead`].
+/// per-replica reports combine through the device-weighted merge of
+/// [`ServingReport::merge`], so the report carries per-card-averaged
+/// utilizations, percentiles over every request, and a device-tagged
+/// trace; with one card nothing is merged. The request statistics are
+/// derived once, on the policy's pool, after the merge. A replica the
+/// fault plan kills re-queues its unfinished work onto the live replicas
+/// with exponential backoff, and a replica whose kill carries a restart
+/// window rejoins the dispatch pool when it comes back (see the module
+/// docs). If the plan leaves *no* replica alive — now or later — while
+/// requests need dispatching, the simulation fails with
+/// [`ServingError::AllReplicasDead`].
 pub fn simulate(cfg: &ServingConfig) -> Result<ServingReport, ServingError> {
     simulate_with(cfg, &ExecPolicy::default())
 }
@@ -1182,18 +1183,18 @@ pub fn simulate_with(
     cfg: &ServingConfig,
     policy: &ExecPolicy,
 ) -> Result<ServingReport, ServingError> {
-    if cfg.traffic.num_requests == 0 {
-        return Err(ServingError::InvalidConfig(
-            "traffic.num_requests must be positive".into(),
-        ));
-    }
+    cfg.traffic
+        .validate()
+        .map_err(ServingError::InvalidConfig)?;
     simulate_trace_with(cfg, generate_requests(&cfg.traffic), policy)
 }
 
 /// [`simulate`] over an explicit request trace instead of the seeded
 /// generator — the hook for replaying recorded workloads and for tests
 /// that need exact control over arrivals and lengths. Requests are
-/// processed in `(arrival, id)` order regardless of input order.
+/// processed in `(arrival, id)` order regardless of input order; a trace
+/// that reuses a request id is rejected with
+/// [`ServingError::InvalidConfig`].
 pub fn simulate_trace(
     cfg: &ServingConfig,
     requests: Vec<Request>,
@@ -1238,6 +1239,28 @@ fn activation_estimate_with(
 
 /// [`simulate_trace`] under an explicit [`ExecPolicy`].
 pub fn simulate_trace_with(
+    cfg: &ServingConfig,
+    requests: Vec<Request>,
+    policy: &ExecPolicy,
+) -> Result<ServingReport, ServingError> {
+    // The report identifies requests by id (and orders them by it), so a
+    // recorded trace must not reuse one.
+    let mut ids: Vec<u64> = requests.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        return Err(ServingError::InvalidConfig(format!(
+            "request id {} appears more than once in the trace",
+            w[0]
+        )));
+    }
+    Ok(simulate_trace_raw(cfg, requests, policy)?.finish(&policy.pool))
+}
+
+/// [`simulate_trace_with`] up to, not including, the request statistics:
+/// the box's raw report (see [`ServingReport::merge_raw`]), fault lanes
+/// included. The cluster layer merges these raw per-box reports and
+/// finishes the result once.
+pub(crate) fn simulate_trace_raw(
     cfg: &ServingConfig,
     mut requests: Vec<Request>,
     policy: &ExecPolicy,
@@ -1332,19 +1355,20 @@ pub fn simulate_trace_with(
     let reports: Vec<ServingReport> = if cfg.faults.card_failures.is_empty() {
         // Fault-free: replicas never interact, so shard the stream
         // round-robin up front and fan the independent single-card
-        // simulations out on the policy's pool. `try_par_map` returns
-        // results in input order and surfaces the lowest-index error,
-        // matching the serial semantics.
+        // simulations out on the policy's pool, each shard moving into
+        // its task. `try_par_map_owned` returns results in input order
+        // and surfaces the lowest-index error, matching the serial
+        // semantics.
         let mut shards: Vec<Vec<Job>> = vec![Vec::new(); cfg.devices];
         for (i, r) in requests.into_iter().enumerate() {
             shards[i % cfg.devices].push(Job::fresh(r));
         }
         policy
             .pool
-            .try_par_map(&shards, |d, jobs| -> Result<_, ServingError> {
+            .try_par_map_owned(shards, |d, jobs| -> Result<_, ServingError> {
                 let mut replica = Replica::new(cfg, DeviceId(d), make_cost(), activation_reserve)?;
                 for j in jobs {
-                    replica.enqueue(j.clone());
+                    replica.enqueue(j);
                 }
                 while replica.step(f64::INFINITY)? {}
                 Ok(replica.finalize())
@@ -1355,7 +1379,7 @@ pub fn simulate_trace_with(
         simulate_box(cfg, requests, &make_cost, activation_reserve)?
     };
 
-    let mut report = ServingReport::merge(reports);
+    let mut report = ServingReport::merge_raw(reports);
     // Fault-lane observability: overlay the plan's kill/restart/flap/
     // slowdown windows as device-tagged trace lanes, so a Chrome-trace
     // export shows *why* a card's serving lanes go quiet. Appended after

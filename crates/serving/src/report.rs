@@ -1,8 +1,10 @@
 //! Serving metrics: per-request outcomes and the aggregate report.
 
+use gaudi_exec::ExecPool;
 use gaudi_hw::DeviceId;
 use gaudi_profiler::report::TextTable;
 use gaudi_profiler::Trace;
+use std::sync::Mutex;
 
 /// p50/p95/p99 summary of a latency population, in milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -25,10 +27,22 @@ impl Percentiles {
     /// assertions on identical seeds.
     pub fn of(values: impl IntoIterator<Item = f64>) -> Self {
         let mut v: Vec<f64> = values.into_iter().collect();
+        Self::sort_and_summarize(&mut v)
+    }
+
+    /// [`Percentiles::of`] over a buffer it may reorder: sorts `v` in place
+    /// and summarizes it. The mean is summed in sorted order.
+    ///
+    /// Panics on a NaN sample. On the samples the engine produces (never
+    /// NaN or `-0.0`) the unstable `total_cmp` sort yields exactly the
+    /// sequence a stable `partial_cmp` sort would, so every percentile and
+    /// the mean are bit-identical to it.
+    fn sort_and_summarize(v: &mut [f64]) -> Self {
         if v.is_empty() {
             return Percentiles::default();
         }
-        v.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        assert!(!v.iter().any(|x| x.is_nan()), "latencies are finite");
+        v.sort_unstable_by(f64::total_cmp);
         let rank = |p: f64| {
             let idx = (p * v.len() as f64).ceil() as usize;
             v[idx.clamp(1, v.len()) - 1]
@@ -421,56 +435,123 @@ impl ServingReport {
         format!("{}\n{}", lat.render(), eng.render())
     }
 
-    /// Fill in the statistics derived from the per-request samples and the
-    /// makespan: latency percentiles over `completed` (and the time-outs in
+    /// Goodput of a raw report (see [`ServingReport::merge_raw`]): tokens of
+    /// its completions per second of its own makespan, computed exactly as
+    /// [`ServingReport::finish`] computes `goodput_tokens_per_s`.
+    pub(crate) fn raw_goodput_tokens_per_s(&self) -> f64 {
+        tokens_per_s(
+            self.completed.iter().map(|o| o.output_len).sum(),
+            self.makespan_ms,
+        )
+    }
+
+    /// Derive the request statistics of a raw report — the one place they
+    /// are derived. Sorts `completed` and `dropped` by id and fills in the
+    /// latency percentiles over `completed` (and the time-outs in
     /// `dropped`) and the goodput and throughput token rates.
-    pub(crate) fn with_request_stats(mut self) -> Self {
-        let makespan_ms = self.makespan_ms;
-        let per_s = |tokens: usize| {
-            if makespan_ms > 0.0 {
-                tokens as f64 / (makespan_ms / 1e3)
-            } else {
-                0.0
-            }
-        };
+    ///
+    /// The two id sorts and the four sample sorts are independent jobs on
+    /// `pool`; the report is bit-identical across pools. Request ids must
+    /// be unique (the id sorts are unstable).
+    pub(crate) fn finish(mut self, pool: &ExecPool) -> Self {
         let goodput_tokens: usize = self.completed.iter().map(|o| o.output_len).sum();
         let wasted_tokens: usize = self.dropped.iter().map(|d| d.tokens_generated).sum();
-        self.goodput_tokens_per_s = per_s(goodput_tokens);
-        self.throughput_tokens_per_s = per_s(goodput_tokens + wasted_tokens);
-        self.ttft_ms = Percentiles::of(self.completed.iter().map(|o| o.ttft_ms));
-        self.tpot_ms = Percentiles::of(self.completed.iter().flat_map(|o| {
-            o.token_times_ms
-                .windows(2)
-                .map(|w| w[1] - w[0])
-                .collect::<Vec<_>>()
-        }));
-        self.queue_ms = Percentiles::of(self.completed.iter().map(|o| o.queue_ms));
-        self.timed_out_latency_ms = Percentiles::of(
+        self.goodput_tokens_per_s = tokens_per_s(goodput_tokens, self.makespan_ms);
+        self.throughput_tokens_per_s =
+            tokens_per_s(goodput_tokens + wasted_tokens, self.makespan_ms);
+
+        // The sample populations are gathered in whatever order the
+        // requests are in: each is sorted before it is summarized.
+        let gaps = self
+            .completed
+            .iter()
+            .map(|o| o.token_times_ms.len().saturating_sub(1))
+            .sum();
+        let mut tpot = Vec::with_capacity(gaps);
+        for o in &self.completed {
+            tpot.extend(o.token_times_ms.windows(2).map(|w| w[1] - w[0]));
+        }
+        let samples = [
+            self.completed.iter().map(|o| o.ttft_ms).collect(),
+            tpot,
+            self.completed.iter().map(|o| o.queue_ms).collect(),
             self.dropped
                 .iter()
                 .filter(|d| d.kind == DropKind::TimedOut)
-                .map(|d| d.at_ms - d.arrival_ms),
+                .map(|d| d.at_ms - d.arrival_ms)
+                .collect::<Vec<f64>>(),
+        ]
+        .map(Mutex::new);
+        // Jobs 0-3 summarize the samples, 4 and 5 are the id sorts. Each
+        // job locks only its own slot, so the locks never contend.
+        const POISONED: &str = "a finish job panicked holding its slot";
+        let stats = {
+            let completed = Mutex::new(&mut self.completed);
+            let dropped = Mutex::new(&mut self.dropped);
+            pool.par_map_range(samples.len() + 2, |job| match job {
+                4 => {
+                    completed
+                        .lock()
+                        .expect(POISONED)
+                        .sort_unstable_by_key(|o| o.id);
+                    None
+                }
+                5 => {
+                    dropped
+                        .lock()
+                        .expect(POISONED)
+                        .sort_unstable_by_key(|d| d.id);
+                    None
+                }
+                s => Some(Percentiles::sort_and_summarize(
+                    &mut samples[s].lock().expect(POISONED),
+                )),
+            })
+        };
+        [
+            self.ttft_ms,
+            self.tpot_ms,
+            self.queue_ms,
+            self.timed_out_latency_ms,
+        ] = std::array::from_fn(|s| stats[s].expect("jobs 0-3 return percentiles"));
+        debug_assert!(
+            self.completed.windows(2).all(|w| w[0].id < w[1].id)
+                && self.dropped.windows(2).all(|w| w[0].id < w[1].id),
+            "request ids are unique"
         );
         self
     }
 
     /// Merge the reports of disjoint device groups — replicas into a box,
-    /// boxes into a cluster — into one report over all their devices.
+    /// boxes into a cluster — into one report over all their devices. The
+    /// parts serve disjoint sets of request ids (shards of one stream).
     ///
     /// Every per-card gauge is weighted by the devices each part ran on:
     /// busy time is rebuilt as `util × makespan × devices` per part and
     /// renormalized over the total device count and the slowest part's
     /// makespan, and `kv_block_utilization` is the device-weighted mean.
-    /// Latency percentiles are re-derived from the pooled per-request
-    /// samples — never by averaging per-part percentiles (the p99 of a
-    /// union is not the mean of the p99s). Counters sum, high-water marks
-    /// take the max, and trace events are re-tagged with global device ids
-    /// (each part's devices offset by the devices of the parts before it).
+    /// Counters sum, high-water marks take the max, and trace events are
+    /// re-tagged with global device ids (each part's devices offset by the
+    /// devices of the parts before it).
+    ///
+    /// The request statistics are then derived from the pooled
+    /// per-request samples — never by averaging per-part percentiles (the
+    /// p99 of a union is not the mean of the p99s) — the same way the
+    /// simulate entry points derive them, so merging one report a
+    /// simulation returned gives that report back.
+    pub fn merge(parts: Vec<ServingReport>) -> ServingReport {
+        Self::merge_raw(parts).finish(ExecPool::global())
+    }
+
+    /// [`ServingReport::merge`] without the request statistics: the
+    /// internal merge of replicas into a box and of boxes into a cluster,
+    /// whose result is finished once, where it leaves the API. `completed`
+    /// and `dropped` are concatenated in part order, unsorted.
     ///
     /// A single part is returned unchanged: it already is the merged
     /// report, and re-deriving a gauge as `u × w / w` is not a
     /// floating-point no-op.
-    pub fn merge(mut parts: Vec<ServingReport>) -> ServingReport {
+    pub(crate) fn merge_raw(mut parts: Vec<ServingReport>) -> ServingReport {
         if parts.len() == 1 {
             return parts.pop().expect("one part");
         }
@@ -535,9 +616,16 @@ impl ServingReport {
             m.restarts += r.restarts;
             m.replica_uptime_ms.extend(r.replica_uptime_ms);
         }
-        m.completed.sort_by_key(|o| o.id);
-        m.dropped.sort_by_key(|d| d.id);
-        m.with_request_stats()
+        m
+    }
+}
+
+/// `tokens` per second of a `makespan_ms` run; zero for an empty run.
+fn tokens_per_s(tokens: usize, makespan_ms: f64) -> f64 {
+    if makespan_ms > 0.0 {
+        tokens as f64 / (makespan_ms / 1e3)
+    } else {
+        0.0
     }
 }
 
@@ -625,9 +713,54 @@ mod tests {
         ev.device = DeviceId(1);
         r.trace.push(ev);
         assert_eq!(
-            format!("{:?}", ServingReport::merge(vec![r.clone()])),
+            format!("{:?}", ServingReport::merge_raw(vec![r.clone()])),
             format!("{r:?}")
         );
+        // The public merge finishes what it merged; a finished report is
+        // its own finish, so a one-part public merge is unchanged too.
+        let finished = r.finish(&ExecPool::serial());
+        assert_eq!(finished.ttft_ms.p50, 1.5);
+        assert_eq!(
+            format!("{:?}", ServingReport::merge(vec![finished.clone()])),
+            format!("{finished:?}")
+        );
+    }
+
+    #[test]
+    fn unstable_total_cmp_sort_matches_the_stable_partial_cmp_sort() {
+        // Finite, non-negative samples with many ties and +0.0: the sort
+        // `sort_and_summarize` uses must give the exact sequence (and so
+        // the exact percentiles and sorted-order mean) of the stable
+        // `partial_cmp` sort it replaced.
+        let mut rng = gaudi_tensor::SeededRng::new(7);
+        for n in [1, 2, 3, 17, 100, 1000] {
+            let v: Vec<f64> = (0..n)
+                .map(|i| match i % 4 {
+                    0 => 0.0,
+                    1 => (rng.uniform() as f64 * 8.0).floor() * 0.25,
+                    _ => rng.uniform() as f64 * 1e3,
+                })
+                .collect();
+            let mut old = v.clone();
+            old.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let mut new = v.clone();
+            let p = Percentiles::sort_and_summarize(&mut new);
+            let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&new), bits(&old), "n = {n}");
+            let rank = |q: f64| old[((q * n as f64).ceil() as usize).clamp(1, n) - 1];
+            assert_eq!(p.p50.to_bits(), rank(0.50).to_bits());
+            assert_eq!(p.p95.to_bits(), rank(0.95).to_bits());
+            assert_eq!(p.p99.to_bits(), rank(0.99).to_bits());
+            let mean = old.iter().sum::<f64>() / n as f64;
+            assert_eq!(p.mean.to_bits(), mean.to_bits());
+            assert_eq!(Percentiles::of(v), p);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "latencies are finite")]
+    fn nan_samples_panic() {
+        Percentiles::of([1.0, f64::NAN, 2.0]);
     }
 
     #[test]

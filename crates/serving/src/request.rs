@@ -69,6 +69,35 @@ impl Default for TrafficConfig {
     }
 }
 
+impl TrafficConfig {
+    /// Reject parameters no simulation can run: an empty trace, an
+    /// arrival rate that is not a positive number, and a prompt or output
+    /// range that starts at zero or is inverted ([`generate_requests`]
+    /// panics on the last three).
+    pub fn validate(&self) -> Result<(), String> {
+        if self.num_requests == 0 {
+            return Err("traffic.num_requests must be positive".into());
+        }
+        if self.arrival_rate_per_s.is_nan() || self.arrival_rate_per_s <= 0.0 {
+            return Err(format!(
+                "traffic.arrival_rate_per_s must be positive, got {}",
+                self.arrival_rate_per_s
+            ));
+        }
+        for (name, (lo, hi)) in [
+            ("prompt_range", self.prompt_range),
+            ("output_range", self.output_range),
+        ] {
+            if lo == 0 || lo > hi {
+                return Err(format!(
+                    "traffic.{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})"
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Generate the full request trace for a configuration, sorted by arrival.
 pub fn generate_requests(cfg: &TrafficConfig) -> Vec<Request> {
     assert!(
@@ -157,5 +186,36 @@ mod tests {
             "most prompts should be short under Zipf, got {short}/{}",
             reqs.len()
         );
+    }
+
+    #[test]
+    fn validate_accepts_the_default_and_names_each_bad_field() {
+        assert_eq!(TrafficConfig::default().validate(), Ok(()));
+        let bad = |cfg: TrafficConfig| cfg.validate().unwrap_err();
+        let base = TrafficConfig::default;
+        assert!(bad(TrafficConfig {
+            num_requests: 0,
+            ..base()
+        })
+        .contains("num_requests"));
+        for rate in [0.0, -1.0, f64::NAN] {
+            let msg = bad(TrafficConfig {
+                arrival_rate_per_s: rate,
+                ..base()
+            });
+            assert!(msg.contains("arrival_rate_per_s"), "{msg}");
+        }
+        for range in [(0, 8), (9, 8)] {
+            let msg = bad(TrafficConfig {
+                prompt_range: range,
+                ..base()
+            });
+            assert!(msg.contains("prompt_range"), "{msg}");
+            let msg = bad(TrafficConfig {
+                output_range: range,
+                ..base()
+            });
+            assert!(msg.contains("output_range"), "{msg}");
+        }
     }
 }
