@@ -195,23 +195,12 @@ impl ExecPool {
         Ok(out)
     }
 
-    /// Fallible [`par_map`](Self::par_map) with the same lowest-index
-    /// error guarantee.
-    pub fn try_par_map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-    {
-        self.try_par_map_range(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// [`try_par_map`](Self::try_par_map) over owned items: `f` receives
+    /// Fallible map over owned items, with the same input-order results
+    /// and lowest-index error guarantee as
+    /// [`try_par_map_range`](Self::try_par_map_range). `f` receives
     /// `(index, item)` by value, so each work item moves into its task
-    /// instead of being cloned out of a borrowed slice. Same input-order
-    /// results and lowest-index error.
-    pub fn try_par_map_owned<T, R, E, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, E>
+    /// instead of being cloned out of a borrowed slice.
+    pub fn try_par_map<T, R, E, F>(&self, items: Vec<T>, f: F) -> Result<Vec<R>, E>
     where
         T: Send,
         R: Send,
@@ -576,20 +565,17 @@ mod tests {
         assert_eq!(r.unwrap_err(), 3, "serial would fail at index 3 first");
         let ok: Result<Vec<usize>, ()> = pool.try_par_map_range(10, Ok);
         assert_eq!(ok.unwrap(), (0..10).collect::<Vec<_>>());
-    }
 
-    #[test]
-    fn owned_items_move_into_their_tasks_in_order() {
-        // Non-Clone items: the map can only hand them over by value.
+        // Owned items, not Clone: the map can only hand them over by value.
         struct Item(Vec<usize>);
         for pool in [ExecPool::serial(), ExecPool::new(3)] {
             let items: Vec<Item> = (0..50).map(|i| Item(vec![i; i])).collect();
-            let out: Result<Vec<usize>, ()> = pool.try_par_map_owned(items, |i, Item(v)| {
+            let out: Result<Vec<usize>, ()> = pool.try_par_map(items, |i, Item(v)| {
                 assert_eq!(v.len(), i);
                 Ok(v.into_iter().sum())
             });
             assert_eq!(out.unwrap(), (0..50).map(|i| i * i).collect::<Vec<_>>());
-            let r = pool.try_par_map_owned((0..20).collect(), |_, i: usize| match i % 5 {
+            let r = pool.try_par_map((0..20).collect(), |_, i: usize| match i % 5 {
                 2 => Err(i),
                 _ => Ok(i),
             });

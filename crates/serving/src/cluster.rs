@@ -349,7 +349,7 @@ pub fn simulate_cluster_with(
         pool: gaudi_exec::ExecPool::serial(),
         plans: policy.plans.clone(),
     };
-    let reports: Vec<ServingReport> = policy.pool.try_par_map_owned(shards, |_, shard| {
+    let reports: Vec<ServingReport> = policy.pool.try_par_map(shards, |_, shard| {
         simulate_trace_raw(&box_cfg, shard, &inner)
     })?;
 

@@ -1356,16 +1356,15 @@ pub(crate) fn simulate_trace_raw(
         // Fault-free: replicas never interact, so shard the stream
         // round-robin up front and fan the independent single-card
         // simulations out on the policy's pool, each shard moving into
-        // its task. `try_par_map_owned` returns results in input order
-        // and surfaces the lowest-index error, matching the serial
-        // semantics.
+        // its task. `try_par_map` returns results in input order and
+        // surfaces the lowest-index error, matching the serial semantics.
         let mut shards: Vec<Vec<Job>> = vec![Vec::new(); cfg.devices];
         for (i, r) in requests.into_iter().enumerate() {
             shards[i % cfg.devices].push(Job::fresh(r));
         }
         policy
             .pool
-            .try_par_map_owned(shards, |d, jobs| -> Result<_, ServingError> {
+            .try_par_map(shards, |d, jobs| -> Result<_, ServingError> {
                 let mut replica = Replica::new(cfg, DeviceId(d), make_cost(), activation_reserve)?;
                 for j in jobs {
                     replica.enqueue(j);

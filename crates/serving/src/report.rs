@@ -538,9 +538,11 @@ impl ServingReport {
     /// per-request samples — never by averaging per-part percentiles (the
     /// p99 of a union is not the mean of the p99s) — the same way the
     /// simulate entry points derive them, so merging one report a
-    /// simulation returned gives that report back.
+    /// simulation returned gives that report back. They are derived on the
+    /// calling thread ([`ExecPool::serial`]); the result is bit-identical
+    /// to a finish on any other pool.
     pub fn merge(parts: Vec<ServingReport>) -> ServingReport {
-        Self::merge_raw(parts).finish(ExecPool::global())
+        Self::merge_raw(parts).finish(&ExecPool::serial())
     }
 
     /// [`ServingReport::merge`] without the request statistics: the

@@ -5,7 +5,7 @@
 //! split by the front-end router across `boxes x cards_per_box` serving
 //! engines; every box runs the full continuous-batching engine on the
 //! indexed event calendar and the per-box reports combine through the
-//! device-weighted `ServingReport::merge`. The sweep covers:
+//! device-weighted report merge. The sweep covers:
 //!
 //! - a **headline cell**: >= 1,000,000 requests across 512 cards
 //!   (64 boxes x 8), gated to finish in <= 10 s wall-clock;
@@ -21,6 +21,10 @@
 //! non-zero, round-robin's exactly-even per-box request counts, the
 //! headline wall-clock budget, and two-run bit-identity of every digest
 //! and of the `results/CLUSTER_7.json` bytes.
+//!
+//! `--quick` runs the same cells two orders of magnitude smaller, without
+//! the wall-clock gate, and writes `results/CLUSTER_7_quick.json`, so it
+//! never replaces the full artifact.
 //!
 //! ```sh
 //! cargo run --release --bin cluster_sweep [-- --threads N] [--quick]
@@ -368,13 +372,14 @@ fn main() {
         )
     };
     let json = json_of(&s);
-    assert_eq!(
-        json,
-        json_of(&again),
-        "CLUSTER_7.json must be bit-identical"
-    );
-    let out = std::path::Path::new("results").join("CLUSTER_7.json");
+    let artifact = if quick {
+        "CLUSTER_7_quick.json"
+    } else {
+        "CLUSTER_7.json"
+    };
+    assert_eq!(json, json_of(&again), "{artifact} must be bit-identical");
+    let out = std::path::Path::new("results").join(artifact);
     std::fs::create_dir_all("results").expect("results/ exists or is creatable");
-    std::fs::write(&out, &json).expect("CLUSTER_7.json is writable");
+    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("{artifact} is writable: {e}"));
     println!("\nwrote {}", out.display());
 }

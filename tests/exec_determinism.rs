@@ -363,7 +363,7 @@ fn pool_surfaces_the_lowest_index_error_like_serial_collect() {
     let pool = ExecPool::new(4);
     let items: Vec<usize> = (0..64).collect();
     let err = pool
-        .try_par_map(&items, |_, &i| if i % 7 == 3 { Err(i) } else { Ok(i * 2) })
+        .try_par_map(items, |_, i| if i % 7 == 3 { Err(i) } else { Ok(i * 2) })
         .unwrap_err();
     assert_eq!(err, 3);
 }
